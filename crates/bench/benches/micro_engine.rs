@@ -19,8 +19,12 @@
 #![allow(clippy::unwrap_used, clippy::panic)]
 use std::time::Instant;
 
-use cdvm_bench::{append_bench_history, banner, bench_check_enabled, emit_metrics_with, write_artifact};
+use cdvm_bench::{
+    append_bench_history, banner, bench_check_enabled, emit_metrics_with, read_baseline,
+    write_artifact, write_baseline,
+};
 use cdvm_core::{Status, System};
+use cdvm_stats::json::Json;
 use cdvm_stats::Metrics;
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app_run, winstone2004};
@@ -62,22 +66,6 @@ fn run_lane(name: &'static str, kind: MachineKind, profile_idx: usize) -> Lane {
         ns_per_inst: best,
         guest_insts,
     }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON without a JSON
-/// dependency (the baseline is machine-written by this bench).
-fn baseline_value(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
 }
 
 fn main() {
@@ -149,16 +137,14 @@ fn main() {
         println!("[baseline] skipped (MICRO_LANES subset run)");
         return;
     }
-    let path = baseline_path();
-    if std::env::var_os("CDVM_BENCH_WRITE_BASELINE").is_some() {
-        let mut json = String::from("{\n  \"bench\": \"micro_engine\",\n");
-        json.push_str(&format!("  \"scale\": {MICRO_SCALE},\n"));
-        for l in &lanes {
-            json.push_str(&format!("  \"{}_ns_per_inst\": {:.4},\n", l.name, l.ns_per_inst));
-        }
-        json.push_str(&format!("  \"ns_per_inst_aggregate\": {aggregate:.4}\n}}\n"));
-        std::fs::write(&path, json).expect("write BENCH_engine.json");
-        println!("[baseline] wrote {}", path.display());
+    let r4 = |x: f64| (x * 1e4).round() / 1e4;
+    let mut baseline = Metrics::new();
+    baseline.set("bench", "micro_engine").set("scale", MICRO_SCALE);
+    for l in &lanes {
+        baseline.set(&format!("{}_ns_per_inst", l.name), r4(l.ns_per_inst));
+    }
+    baseline.set("ns_per_inst_aggregate", r4(aggregate));
+    if write_baseline("BENCH_engine.json", &baseline) {
         return;
     }
 
@@ -175,10 +161,12 @@ fn main() {
         append_bench_history("micro_engine", &borrowed);
     }
 
-    match std::fs::read_to_string(&path) {
-        Ok(text) => {
-            let base = baseline_value(&text, "ns_per_inst_aggregate")
-                .expect("BENCH_engine.json lacks ns_per_inst_aggregate");
+    match read_baseline("BENCH_engine.json") {
+        Some(doc) => {
+            let base = doc
+                .get("ns_per_inst_aggregate")
+                .expect("BENCH_engine.json lacks ns_per_inst_aggregate")
+                .as_num();
             let ratio = aggregate / base;
             println!(
                 "baseline aggregate: {base:.2} ns/guest-inst (current/baseline = {ratio:.2}x)"
@@ -198,7 +186,7 @@ fn main() {
             // improvement elsewhere — each lane must hold its own line.
             for l in &lanes {
                 let key = format!("{}_ns_per_inst", l.name);
-                let Some(lane_base) = baseline_value(&text, &key) else {
+                let Some(lane_base) = doc.get(&key).map(Json::as_num) else {
                     println!("[gate] no per-lane baseline {key} (pre-refresh file); skipped");
                     continue;
                 };
@@ -222,6 +210,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Err(_) => println!("no BENCH_engine.json baseline yet (CDVM_BENCH_WRITE_BASELINE=1 to create)"),
+        None => println!("no BENCH_engine.json baseline yet (CDVM_BENCH_WRITE_BASELINE=1 to create)"),
     }
 }

@@ -19,7 +19,9 @@
 #![allow(clippy::unwrap_used, clippy::panic)]
 use std::time::Instant;
 
-use cdvm_bench::{banner, bench_check_enabled, emit_metrics_with, write_artifact};
+use cdvm_bench::{
+    banner, bench_check_enabled, emit_metrics_with, read_baseline, write_artifact, write_baseline,
+};
 use cdvm_core::{FlightRecorder, RecorderConfig, Status, System};
 use cdvm_stats::Metrics;
 use cdvm_uarch::{MachineConfig, MachineKind};
@@ -100,22 +102,6 @@ fn run_lane(name: &'static str, kind: MachineKind, profile_idx: usize) -> Lane {
     }
 }
 
-/// Pulls `"key": <number>` out of the flat baseline JSON without a JSON
-/// dependency (the baseline is machine-written by this bench).
-fn baseline_value(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_startup.json")
-}
-
 fn main() {
     banner(
         "startup_snapshot",
@@ -193,25 +179,26 @@ fn main() {
         .set("warm_cycles_aggregate", warm_aggregate);
     emit_metrics_with("startup_snapshot", SNAP_SCALE, runs, summary);
 
-    let path = baseline_path();
-    if std::env::var_os("CDVM_BENCH_WRITE_BASELINE").is_some() {
-        let mut json = String::from("{\n  \"bench\": \"startup_snapshot\",\n");
-        json.push_str(&format!("  \"scale\": {SNAP_SCALE},\n"));
-        for l in &lanes {
-            json.push_str(&format!("  \"{}_warm_cycles\": {},\n", l.name, l.warm_cycles));
-            json.push_str(&format!("  \"{}_image_bytes\": {},\n", l.name, l.image_bytes));
-        }
-        json.push_str(&format!("  \"cold_cycles_aggregate\": {cold_aggregate},\n"));
-        json.push_str(&format!("  \"warm_cycles_aggregate\": {warm_aggregate}\n}}\n"));
-        std::fs::write(&path, json).expect("write BENCH_startup.json");
-        println!("[baseline] wrote {}", path.display());
+    let mut baseline = Metrics::new();
+    baseline.set("bench", "startup_snapshot").set("scale", SNAP_SCALE);
+    for l in &lanes {
+        baseline
+            .set(&format!("{}_warm_cycles", l.name), l.warm_cycles)
+            .set(&format!("{}_image_bytes", l.name), l.image_bytes);
+    }
+    baseline
+        .set("cold_cycles_aggregate", cold_aggregate)
+        .set("warm_cycles_aggregate", warm_aggregate);
+    if write_baseline("BENCH_startup.json", &baseline) {
         return;
     }
 
-    match std::fs::read_to_string(&path) {
-        Ok(text) => {
-            let base = baseline_value(&text, "warm_cycles_aggregate")
-                .expect("BENCH_startup.json lacks warm_cycles_aggregate");
+    match read_baseline("BENCH_startup.json") {
+        Some(doc) => {
+            let base = doc
+                .get("warm_cycles_aggregate")
+                .expect("BENCH_startup.json lacks warm_cycles_aggregate")
+                .as_num();
             let ratio = warm_aggregate as f64 / base;
             println!("baseline warm aggregate: {base:.0} cy (current/baseline = {ratio:.3}x)");
             if bench_check_enabled() && ratio > 1.25 {
@@ -223,7 +210,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Err(_) => {
+        None => {
             println!("no BENCH_startup.json baseline yet (CDVM_BENCH_WRITE_BASELINE=1 to create)");
         }
     }

@@ -18,13 +18,15 @@ use cdvm_core::{
     render_chrome, FlightRecorder, Phase, RecorderConfig, Status, System, TraceBuffer, TraceEvent,
     NUM_PHASES,
 };
+use cdvm_stats::json::{Json, Parser};
 use cdvm_stats::{harmonic_mean, ChromeTrace, LogSampler, Metrics};
 use cdvm_uarch::{CycleCat, Cycles, MachineConfig, MachineKind, NUM_CATS};
 use cdvm_workloads::{winstone2004, AppProfile, Workload};
 
 pub use cdvm_workloads::env_scale;
 
-pub mod testjson;
+/// The workspace JSON reader, under the name the benchmark package imports.
+pub use cdvm_stats::json as testjson;
 
 /// Instructions per sampling slice.
 pub const SAMPLE_SLICE: u64 = 4096;
@@ -346,38 +348,36 @@ impl FlightCapture {
 }
 
 /// Whether `CDVM_BENCH_CHECK` asks the bench to enforce its regression
-/// gate (exit non-zero on failure). Hardened the same way as
-/// `CDVM_TRACE` parsing in `cdvm_core::trace`: unset/`off`/`false`/`no`
-/// disables, `1`/`on`/`true`/`yes` enables, and `0` or garbage is
-/// rejected with a stderr message rather than silently enabling the
-/// gate (the old `var_os(..).is_some()` check treated `=0` as "on").
+/// gate (exit non-zero on failure). A default-off switch read with
+/// [`cdvm_core::trace::parse_switch`]: `0` and garbage leave the gate
+/// off with a stderr message rather than silently enabling it.
 pub fn bench_check_enabled() -> bool {
-    parse_bench_check(std::env::var("CDVM_BENCH_CHECK").ok().as_deref())
+    cdvm_core::trace::env_switch("CDVM_BENCH_CHECK", false)
 }
 
-/// Pure parser behind [`bench_check_enabled`], split out for tests
-/// (mutating the process environment races with parallel test threads).
-fn parse_bench_check(raw: Option<&str>) -> bool {
-    let Some(v) = raw else {
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Reads the checked-in baseline `file` (e.g. `BENCH_engine.json`) at
+/// the repo root; `None` when it does not exist yet. Panics with a byte
+/// offset when the file is not JSON.
+pub fn read_baseline(file: &str) -> Option<Json> {
+    let text = std::fs::read_to_string(repo_root().join(file)).ok()?;
+    Some(Parser::parse(&text))
+}
+
+/// Writes `baseline` to the repo-root `file` when the
+/// `CDVM_BENCH_WRITE_BASELINE` switch is on, and reports whether it did
+/// (the bench then skips its gate: it would compare the run to itself).
+pub fn write_baseline(file: &str, baseline: &Metrics) -> bool {
+    if !cdvm_core::trace::env_switch("CDVM_BENCH_WRITE_BASELINE", false) {
         return false;
-    };
-    match v.trim() {
-        "" | "off" | "false" | "no" => false,
-        "1" | "on" | "true" | "yes" => true,
-        "0" => {
-            eprintln!(
-                "cdvm: invalid CDVM_BENCH_CHECK=0 (use `off` or unset to disable); gate disabled"
-            );
-            false
-        }
-        other => {
-            eprintln!(
-                "cdvm: unparseable CDVM_BENCH_CHECK={other:?} (expected `on` or `off`); \
-                 gate disabled"
-            );
-            false
-        }
     }
+    let path = repo_root().join(file);
+    std::fs::write(&path, baseline.to_json()).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("[baseline] wrote {}", path.display());
+    true
 }
 
 /// Appends one JSON line to the repo-root `BENCH_history.jsonl`,
@@ -391,7 +391,7 @@ fn parse_bench_check(raw: Option<&str>) -> bool {
 /// not be written (read-only checkout, missing `.git`), so errors are
 /// reported to stderr and swallowed.
 pub fn append_bench_history(bench: &str, fields: &[(&str, f64)]) {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let commit = git_head_sha(&root).unwrap_or_else(|| "unknown".to_string());
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -878,6 +878,8 @@ mod tests {
 
     #[test]
     fn bench_check_parsing_rejects_zero_and_garbage() {
+        let parse_bench_check =
+            |raw| cdvm_core::trace::parse_switch("CDVM_BENCH_CHECK", raw, false);
         assert!(!parse_bench_check(None));
         for off in ["", "  ", "off", "false", "no", "0", "2", "yep", " 0 "] {
             assert!(!parse_bench_check(Some(off)), "{off:?} must not enable the gate");
@@ -887,7 +889,22 @@ mod tests {
         }
     }
 
-    use crate::testjson::{Json, Parser};
+    /// The gated numbers of every checked-in baseline read back through
+    /// the shared reader (the benches themselves only run under
+    /// `cargo bench`).
+    #[test]
+    fn checked_in_baselines_read_through_the_shared_reader() {
+        for (file, key) in [
+            ("BENCH_engine.json", "ns_per_inst_aggregate"),
+            ("BENCH_startup.json", "warm_cycles_aggregate"),
+            ("BENCH_serve.json", "warm_over_cold_cycles_p99"),
+        ] {
+            let doc = read_baseline(file).unwrap_or_else(|| panic!("{file} missing"));
+            let v = doc.get(key).unwrap_or_else(|| panic!("{file} lacks {key}"));
+            assert!(v.as_num() > 0.0, "{file} {key}");
+        }
+        assert_eq!(read_baseline("BENCH_nonexistent.json"), None);
+    }
 
     /// The acceptance round-trip: a real run's emitted Chrome trace
     /// parses, every logical track has monotonically non-decreasing

@@ -1676,23 +1676,6 @@ impl System {
         snapshot::write_image_atomic(path, &bytes)
     }
 
-    /// Saves a delta image against `base` to `path` crash-safely.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the atomic write; a damaged or delta `base` is
-    /// reported as [`std::io::ErrorKind::InvalidData`].
-    pub fn save_image_delta(
-        &mut self,
-        path: &std::path::Path,
-        base: &[u8],
-    ) -> std::io::Result<()> {
-        let bytes = self
-            .snapshot_delta_bytes(base)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        snapshot::write_image_atomic(path, &bytes)
-    }
-
     /// Restores a warm image from a file. An unreadable file degrades to
     /// a clean cold boot, like every other restore failure.
     pub fn restore_image(&mut self, path: &std::path::Path) -> RestoreOutcome {

@@ -461,36 +461,57 @@ impl Trace {
     }
 }
 
-/// Parses an enable/capacity environment value. Shared by `CDVM_TRACE`
-/// and `CDVM_RECORDER`: unset/empty/`off`/`false`/`no` disables,
-/// `1`/`on`/`true`/`yes` selects `default`, and any other decimal
-/// number is the capacity directly. `0` and unparseable values are
-/// rejected with a stderr diagnostic naming `var` (and disable the
-/// facility) — never silently swallowed, so a typo'd capacity doesn't
-/// masquerade as "tracing off".
-pub(crate) fn parse_enable_env(var: &str, raw: Option<&str>, default: usize) -> Option<usize> {
+/// Parses a `CDVM_*` enable value: the one vocabulary every switch and
+/// capacity variable in the workspace shares. Unset, empty, `off`,
+/// `false` and `no` disable; `1`, `on`, `true` and `yes` select
+/// `default`; any other positive decimal is a capacity (`CDVM_TRACE`,
+/// `CDVM_RECORDER`). `0` and unparseable values are rejected with a
+/// stderr diagnostic naming `var` and disable the facility, so a typo
+/// never masquerades as "off" silently.
+pub fn parse_enable_env(var: &str, raw: Option<&str>, default: usize) -> Option<usize> {
     let v = raw?;
     match v.trim() {
         "" | "off" | "false" | "no" => None,
         "1" | "on" | "true" | "yes" => Some(default),
         "0" => {
-            eprintln!(
-                "cdvm: invalid {var}=0 (use `off` to disable or a positive event capacity); \
-                 disabling"
-            );
+            eprintln!("cdvm: invalid {var}=0 (use `off` to disable); disabling");
             None
         }
         other => match other.parse::<usize>() {
             Ok(n) if n > 0 => Some(n),
             _ => {
-                eprintln!(
-                    "cdvm: unparseable {var}={other:?} (expected `on`, `off`, or a positive \
-                     event capacity); disabling"
-                );
+                eprintln!("cdvm: unparseable {var}={other:?} (expected `on` or `off`); disabling");
                 None
             }
         },
     }
+}
+
+/// An on/off switch (`CDVM_BENCH_CHECK`, `CDVM_SPANS`, ...) read with
+/// [`parse_enable_env`]'s vocabulary. Unset gives `default`; any value
+/// set selects on or off by its spelling alone, so `CDVM_SPANS=0`
+/// disarms a default-on switch. A capacity number other than 1 means
+/// nothing to a switch and is rejected like garbage.
+pub fn parse_switch(var: &str, raw: Option<&str>, default: bool) -> bool {
+    let Some(v) = raw else {
+        return default;
+    };
+    match parse_enable_env(var, Some(v), 1) {
+        Some(1) => true,
+        Some(_) => {
+            eprintln!(
+                "cdvm: unparseable {var}={:?} (expected `on` or `off`); disabling",
+                v.trim()
+            );
+            false
+        }
+        None => false,
+    }
+}
+
+/// [`parse_switch`] over the process environment.
+pub fn env_switch(var: &str, default: bool) -> bool {
+    parse_switch(var, std::env::var(var).ok().as_deref(), default)
 }
 
 /// Ring capacity requested through the `CDVM_TRACE` environment variable:
@@ -603,6 +624,22 @@ mod tests {
         assert_eq!(p(Some("banana")), None);
         assert_eq!(p(Some("-5")), None);
         assert_eq!(p(Some("1e6")), None);
+    }
+
+    #[test]
+    fn default_on_switch_takes_every_spelling() {
+        let p = |raw| parse_switch("CDVM_SPANS", raw, true);
+        assert!(p(None), "unset keeps the default");
+        for off in ["", "  ", "off", "false", "no", "0", " 0 ", "2", "yep", "-1"] {
+            assert!(!p(Some(off)), "{off:?} must disarm");
+        }
+        for on in ["1", "on", "true", "yes", " on "] {
+            assert!(p(Some(on)), "{on:?} must arm");
+        }
+        assert!(
+            !parse_switch("CDVM_CAPTURE", None, false),
+            "default-off stays off"
+        );
     }
 
     #[test]

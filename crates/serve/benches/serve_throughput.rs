@@ -15,9 +15,9 @@
 
 use std::time::Instant;
 
-use cdvm_bench::{banner, bench_check_enabled};
+use cdvm_bench::{banner, bench_check_enabled, write_baseline};
 use cdvm_serve::{JobSpec, JobState, ServeConfig, Service};
-use cdvm_stats::CycleHistogram;
+use cdvm_stats::{CycleHistogram, Metrics};
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::winstone2004;
 
@@ -105,10 +105,6 @@ fn run_lane(name: &'static str, warm_pool: bool) -> Lane {
     }
 }
 
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
-}
-
 fn main() {
     banner(
         "serve_throughput",
@@ -118,42 +114,34 @@ fn main() {
 
     let lanes = [run_lane("warm_pool", true), run_lane("cold_boot", false)];
     let (warm, cold) = (&lanes[0], &lanes[1]);
+    let ratio = warm.cycles_p99 as f64 / cold.cycles_p99 as f64;
     println!(
-        "warm/cold: {:.2}x jobs/s, {:.3}x p99 modeled cycles",
+        "warm/cold: {:.2}x jobs/s, {ratio:.3}x p99 modeled cycles",
         warm.jobs_per_sec / cold.jobs_per_sec,
-        warm.cycles_p99 as f64 / cold.cycles_p99 as f64,
     );
 
-    let path = baseline_path();
-    if std::env::var_os("CDVM_BENCH_WRITE_BASELINE").is_some() {
-        let mut json = String::from("{\n  \"bench\": \"serve_throughput\",\n");
-        json.push_str(&format!("  \"scale\": {SERVE_SCALE},\n"));
-        json.push_str(&format!("  \"jobs\": {JOBS},\n"));
-        json.push_str(&format!("  \"workers\": {WORKERS},\n"));
-        for l in &lanes {
-            json.push_str(&format!(
-                "  \"{}_jobs_per_sec\": {:.2},\n",
-                l.name, l.jobs_per_sec
-            ));
-            json.push_str(&format!(
-                "  \"{}_latency_p50_ns\": {},\n",
-                l.name, l.latency_p50_ns
-            ));
-            json.push_str(&format!(
-                "  \"{}_latency_p99_ns\": {},\n",
-                l.name, l.latency_p99_ns
-            ));
-            json.push_str(&format!("  \"{}_run_p50_ns\": {},\n", l.name, l.run_p50_ns));
-            json.push_str(&format!("  \"{}_run_p99_ns\": {},\n", l.name, l.run_p99_ns));
-            json.push_str(&format!("  \"{}_cycles_p50\": {},\n", l.name, l.cycles_p50));
-            json.push_str(&format!("  \"{}_cycles_p99\": {},\n", l.name, l.cycles_p99));
-        }
-        json.push_str(&format!(
-            "  \"warm_over_cold_cycles_p99\": {:.4}\n}}\n",
-            warm.cycles_p99 as f64 / cold.cycles_p99 as f64
-        ));
-        std::fs::write(&path, json).expect("write BENCH_serve.json");
-        println!("[baseline] wrote {}", path.display());
+    let mut baseline = Metrics::new();
+    baseline
+        .set("bench", "serve_throughput")
+        .set("scale", SERVE_SCALE)
+        .set("jobs", JOBS)
+        .set("workers", WORKERS);
+    for l in &lanes {
+        let key = |field: &str| format!("{}_{field}", l.name);
+        baseline
+            .set(
+                &key("jobs_per_sec"),
+                (l.jobs_per_sec * 100.0).round() / 100.0,
+            )
+            .set(&key("latency_p50_ns"), l.latency_p50_ns)
+            .set(&key("latency_p99_ns"), l.latency_p99_ns)
+            .set(&key("run_p50_ns"), l.run_p50_ns)
+            .set(&key("run_p99_ns"), l.run_p99_ns)
+            .set(&key("cycles_p50"), l.cycles_p50)
+            .set(&key("cycles_p99"), l.cycles_p99);
+    }
+    baseline.set("warm_over_cold_cycles_p99", (ratio * 1e4).round() / 1e4);
+    if write_baseline("BENCH_serve.json", &baseline) {
         return;
     }
 

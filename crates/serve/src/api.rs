@@ -1,9 +1,10 @@
 //! A hand-rolled localhost HTTP/1.1 JSON API over [`Service`].
 //!
-//! The workspace takes no network or serialization dependency, so both
-//! the HTTP framing and the JSON body parsing live here: the request
-//! parser handles exactly what the API needs (a flat JSON object of
-//! strings and unsigned integers), and responses are built with
+//! The workspace takes no network or serialization dependency, so the
+//! HTTP framing lives here. Request bodies are read with the workspace
+//! JSON reader ([`cdvm_stats::json`], depth-bounded and non-panicking)
+//! and must be flat objects of strings, booleans and non-negative
+//! integers; responses are built with
 //! [`Metrics::to_json`](cdvm_stats::Metrics::to_json).
 //!
 //! | Method & path                     | Action                                     |
@@ -27,6 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cdvm_stats::json::{Json, Parser};
 use cdvm_stats::Metrics;
 use cdvm_uarch::MachineKind;
 
@@ -54,143 +56,32 @@ pub fn parse_machine(s: &str) -> Option<MachineKind> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON body parsing (flat object of strings and unsigned ints).
-// ---------------------------------------------------------------------------
-
-/// A JSON scalar the API accepts in request bodies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    /// A JSON string (escapes decoded).
-    Str(String),
-    /// A non-negative JSON integer.
-    Num(u64),
-}
-
-/// Parses a flat JSON object (`{"k": "v", "n": 3}`) into key/value
-/// pairs. Nested containers, floats and negative numbers are rejected —
-/// the API's request bodies never contain them. Returns `None` on any
-/// syntax error.
-pub fn parse_flat_json(body: &str) -> Option<Vec<(String, JsonVal)>> {
-    let b = body.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    if b.get(i) != Some(&b'{') {
+/// Reads a request body as a flat JSON object: every value a string, a
+/// boolean or a non-negative integer. `None` for anything else, so
+/// nested or malformed bodies are refused before they reach the service.
+fn flat_object(body: &str) -> Option<Json> {
+    let doc = Parser::try_parse(body).ok()?;
+    let Json::Obj(fields) = &doc else {
         return None;
-    }
-    i += 1;
-    let mut out = Vec::new();
-    skip_ws(b, &mut i);
-    if b.get(i) == Some(&b'}') {
-        return Some(out);
-    }
-    loop {
-        skip_ws(b, &mut i);
-        let key = parse_string(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if b.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        skip_ws(b, &mut i);
-        let val = match b.get(i)? {
-            b'"' => JsonVal::Str(parse_string(b, &mut i)?),
-            b'0'..=b'9' => {
-                let start = i;
-                while matches!(b.get(i), Some(b'0'..=b'9')) {
-                    i += 1;
-                }
-                JsonVal::Num(std::str::from_utf8(&b[start..i]).ok()?.parse().ok()?)
-            }
-            b't' if b[i..].starts_with(b"true") => {
-                i += 4;
-                JsonVal::Num(1)
-            }
-            b'f' if b[i..].starts_with(b"false") => {
-                i += 5;
-                JsonVal::Num(0)
-            }
-            _ => return None,
-        };
-        out.push((key, val));
-        skip_ws(b, &mut i);
-        match b.get(i)? {
-            b',' => i += 1,
-            b'}' => return Some(out),
-            _ => return None,
-        }
-    }
+    };
+    let scalar = |v: &Json| match v {
+        Json::Str(_) | Json::Bool(_) => true,
+        Json::Num(n) => n.is_finite() && n.is_sign_positive() && n.fract() == 0.0,
+        _ => false,
+    };
+    fields.iter().all(|(_, v)| scalar(v)).then_some(doc)
 }
 
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while matches!(b.get(*i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-        *i += 1;
-    }
-}
-
-/// Parses a JSON string at `b[*i]` (which must be `"`), decoding the
-/// RFC 8259 escapes (including `\uXXXX`, without surrogate pairing —
-/// the API never needs astral-plane tenant names).
-fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
-    if b.get(*i) != Some(&b'"') {
-        return None;
-    }
-    *i += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*i)? {
-            b'"' => {
-                *i += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b.get(*i + 1..*i + 5)?;
-                        let code =
-                            u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *i += 4;
-                    }
-                    _ => return None,
-                }
-                *i += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*i..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *i += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn field<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Option<&'a JsonVal> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_field(fields: &[(String, JsonVal)], key: &str) -> Option<String> {
-    match field(fields, key) {
-        Some(JsonVal::Str(s)) => Some(s.clone()),
+fn str_field<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
+    match doc.get(key)? {
+        Json::Str(s) => Some(s),
         _ => None,
     }
 }
 
-fn num_field(fields: &[(String, JsonVal)], key: &str) -> Option<u64> {
-    match field(fields, key) {
-        Some(JsonVal::Num(n)) => Some(*n),
+fn num_field(doc: &Json, key: &str) -> Option<u64> {
+    match doc.get(key)? {
+        Json::Num(n) => Some(*n as u64),
         _ => None,
     }
 }
@@ -469,9 +360,10 @@ fn route(
         ("POST", ["poison", "clear"]) => {
             // `{"signature": "tenant/app/machine"}` clears one entry;
             // an empty (or non-JSON) body clears them all.
-            let sig = parse_flat_json(body).and_then(|f| str_field(&f, "signature"));
+            let doc = flat_object(body);
+            let sig = doc.as_ref().and_then(|d| str_field(d, "signature"));
             let mut m = Metrics::new();
-            m.set("cleared", service.clear_poison(sig.as_deref()) as u64);
+            m.set("cleared", service.clear_poison(sig) as u64);
             Resp::json(200, "OK", &m)
         }
         ("POST", ["drain"]) => match service.drain(persist_dir) {
@@ -492,27 +384,24 @@ fn route(
     }
 }
 
+/// Reads a `POST /jobs` body into a job spec, or the 400 message.
+fn job_spec(body: &str) -> Result<JobSpec, &'static str> {
+    let doc = flat_object(body).ok_or("body is not a flat JSON object")?;
+    let app = str_field(&doc, "app").ok_or("missing \"app\"")?;
+    let machine = str_field(&doc, "machine")
+        .and_then(parse_machine)
+        .ok_or("missing or unknown \"machine\" (vm.soft, vm.be, vm.fe, vm.interp, ref)")?;
+    let mut spec = JobSpec::new(str_field(&doc, "tenant").unwrap_or("default"), app, machine);
+    spec.deadline_insts = num_field(&doc, "deadline_insts");
+    spec.deadline_ms = num_field(&doc, "deadline_ms");
+    Ok(spec)
+}
+
 fn post_job(service: &Service, body: &str) -> Resp {
-    let Some(fields) = parse_flat_json(body) else {
-        return Resp::error(400, "Bad Request", "body is not a flat JSON object");
+    let spec = match job_spec(body) {
+        Ok(spec) => spec,
+        Err(msg) => return Resp::error(400, "Bad Request", msg),
     };
-    let Some(app) = str_field(&fields, "app") else {
-        return Resp::error(400, "Bad Request", "missing \"app\"");
-    };
-    let Some(machine) = str_field(&fields, "machine").as_deref().and_then(parse_machine) else {
-        return Resp::error(
-            400,
-            "Bad Request",
-            "missing or unknown \"machine\" (vm.soft, vm.be, vm.fe, vm.interp, ref)",
-        );
-    };
-    let mut spec = JobSpec::new(
-        &str_field(&fields, "tenant").unwrap_or_else(|| "default".to_string()),
-        &app,
-        machine,
-    );
-    spec.deadline_insts = num_field(&fields, "deadline_insts");
-    spec.deadline_ms = num_field(&fields, "deadline_ms");
     match service.submit(spec) {
         Ok(id) => {
             let mut m = Metrics::new();
@@ -586,26 +475,70 @@ fn get_job(service: &Service, id: u64, wait_ms: Option<u64>) -> Resp {
 mod tests {
     use super::*;
 
+    use crate::service::ServeConfig;
+
+    /// A service with an empty catalog: a well-formed job body gets 404
+    /// for its unknown (machine, app), so a 400 always comes from the
+    /// body itself.
+    fn service() -> Service {
+        Service::start(ServeConfig {
+            workers: 1,
+            warm_pool: false,
+            ..ServeConfig::default()
+        })
+    }
+
+    /// `POST /jobs` through the router: status and error message.
+    fn post(svc: &Service, body: &str) -> (u16, String) {
+        let r = route(svc, "POST", "/jobs", "", body, None);
+        let doc = Parser::parse(&r.body);
+        (
+            r.status,
+            doc.get("error").map_or("", Json::as_str).to_string(),
+        )
+    }
+
     #[test]
     fn flat_json_round_trip() {
-        let fields = parse_flat_json(
-            r#"{ "tenant": "acme", "app": "wordA", "deadline_ms": 250, "flag": true }"#,
-        )
-        .expect("parses");
-        assert_eq!(str_field(&fields, "tenant").as_deref(), Some("acme"));
-        assert_eq!(str_field(&fields, "app").as_deref(), Some("wordA"));
-        assert_eq!(num_field(&fields, "deadline_ms"), Some(250));
-        assert_eq!(num_field(&fields, "flag"), Some(1));
+        let body = r#"{ "tenant": "acme", "app": "wordA", "machine": "vm.soft",
+                        "deadline_ms": 250, "flag": true }"#;
+        let spec = job_spec(body).expect("parses");
+        assert_eq!(spec.tenant, "acme");
+        assert_eq!(spec.app, "wordA");
+        assert_eq!(spec.machine, MachineKind::VmSoft);
+        assert_eq!(spec.deadline_ms, Some(250));
+        assert_eq!(spec.deadline_insts, None);
+        // A boolean is a flat value but not a number.
+        let spec = job_spec(r#"{"app": "a", "machine": "ref", "deadline_insts": true}"#);
+        assert_eq!(spec.expect("parses").deadline_insts, None);
+        let (status, err) = post(&service(), body);
+        assert_eq!(
+            (status, err.as_str()),
+            (404, "unknown (machine, app): VM.soft/wordA")
+        );
     }
 
     #[test]
     fn flat_json_rejects_nesting_and_garbage() {
-        assert!(parse_flat_json("{\"a\": {\"b\": 1}}").is_none());
-        assert!(parse_flat_json("[1, 2]").is_none());
-        assert!(parse_flat_json("{\"a\": -1}").is_none());
-        assert!(parse_flat_json("{\"a\" 1}").is_none());
-        assert!(parse_flat_json("").is_none());
-        assert_eq!(parse_flat_json("{}"), Some(Vec::new()));
+        let svc = service();
+        for body in [
+            "{\"a\": {\"b\": 1}}",
+            "[1, 2]",
+            "{\"a\": -1}",
+            "{\"a\" 1}",
+            "",
+            "{\"a\": 2.5}",
+            "{\"a\": null}",
+            "{\"a\": [1]}",
+        ] {
+            let got = post(&svc, body);
+            assert_eq!(
+                got,
+                (400, "body is not a flat JSON object".to_string()),
+                "{body:?}"
+            );
+        }
+        assert_eq!(post(&svc, "{}"), (400, "missing \"app\"".to_string()));
     }
 
     #[test]

@@ -67,8 +67,8 @@ fn parse_args() -> Args {
             MachineKind::VmInterp,
         ],
         apps: None,
-        spans: std::env::var("CDVM_SPANS").map(|v| v != "0").unwrap_or(true),
-        capture: std::env::var("CDVM_CAPTURE").map(|v| v == "1").unwrap_or(false),
+        spans: cdvm_core::trace::env_switch("CDVM_SPANS", true),
+        capture: cdvm_core::trace::env_switch("CDVM_CAPTURE", false),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {

@@ -44,7 +44,7 @@ mod telemetry;
 
 pub use error::{OverloadScope, ServeError};
 pub use job::{JobOutput, JobSpec, JobState, WarmLevel};
-pub use pool::{ImageHealth, PoolConfig, StampInfo, WarmPool};
+pub use pool::{ImageHealth, ImageState, PoolConfig, StampInfo, WarmPool};
 pub use service::{ServeConfig, Service};
 pub use slo::{SloConfig, SloEngine, SloKind, SloState};
 pub use spans::{JobSpans, Span};

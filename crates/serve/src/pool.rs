@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use cdvm_core::{write_image_atomic, FaultInjector, ImageFault, ImageFaultReport, Status, System};
-use cdvm_stats::Metrics;
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app_run, AppProfile, Workload};
 
@@ -116,6 +115,22 @@ pub struct ImageHealth {
     pub cold_since_quarantine: u32,
     /// Half-open probe restores attempted.
     pub probes: u64,
+}
+
+/// A point-in-time view of one golden image (rendered into `/healthz`
+/// and `/metrics`).
+#[derive(Debug, Clone)]
+pub struct ImageState {
+    /// The image's machine.
+    pub kind: MachineKind,
+    /// The image's application.
+    pub app: &'static str,
+    /// Warm image size (0 when the pool is cold-only).
+    pub image_bytes: usize,
+    /// Pre-stamped instances ready for checkout.
+    pub ready: usize,
+    /// Restore health and breaker state.
+    pub health: ImageHealth,
 }
 
 /// One golden `(machine, app)` entry.
@@ -239,11 +254,6 @@ impl WarmPool {
         self.entry_idx(kind, app).is_some()
     }
 
-    /// The served `(machine, app)` pairs.
-    pub fn keys(&self) -> &[(MachineKind, &'static str)] {
-        &self.index
-    }
-
     fn entry_idx(&self, kind: MachineKind, app: &str) -> Option<usize> {
         self.index.iter().position(|(k, a)| *k == kind && *a == app)
     }
@@ -265,12 +275,6 @@ impl WarmPool {
     pub fn health(&self, kind: MachineKind, app: &str) -> Option<ImageHealth> {
         let idx = self.entry_idx(kind, app)?;
         Some(lock(&self.entries[idx]).health.clone())
-    }
-
-    /// Pre-stamped ready instances currently stocked for one image.
-    pub fn ready_depth(&self, kind: MachineKind, app: &str) -> Option<usize> {
-        let idx = self.entry_idx(kind, app)?;
-        Some(lock(&self.entries[idx]).ready.len())
     }
 
     /// Persists every healthy (non-quarantined, non-empty) golden image
@@ -333,28 +337,21 @@ impl WarmPool {
         true
     }
 
-    /// Per-entry pool metrics (image size, ready depth, health and
-    /// breaker state).
-    pub fn metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        for entry in &self.entries {
-            let g = lock(entry);
-            let mut e = Metrics::new();
-            e.set("machine", format!("{}", g.kind))
-                .set("app", g.app)
-                .set("image_bytes", g.image.len() as u64)
-                .set("ready", g.ready.len() as u64)
-                .set("restores_clean", g.health.restores_clean)
-                .set("restores_degraded", g.health.restores_degraded)
-                .set("restores_failed", g.health.restores_failed)
-                .set("cold_stamps", g.health.cold_stamps)
-                .set("consecutive_bad", u64::from(g.health.consecutive_bad))
-                .set("quarantined", g.health.quarantined)
-                .set("quarantines", g.health.quarantines)
-                .set("probes", g.health.probes);
-            m.set(&format!("{:?}/{}", g.kind, g.app), e);
-        }
-        m
+    /// A point-in-time view of every golden image, in catalog order.
+    pub fn states(&self) -> Vec<ImageState> {
+        self.entries
+            .iter()
+            .map(|entry| {
+                let g = lock(entry);
+                ImageState {
+                    kind: g.kind,
+                    app: g.app,
+                    image_bytes: g.image.len(),
+                    ready: g.ready.len(),
+                    health: g.health.clone(),
+                }
+            })
+            .collect()
     }
 }
 

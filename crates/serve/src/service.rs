@@ -26,14 +26,15 @@ use std::time::{Duration, Instant};
 
 use cdvm_core::{fnv1a64, render_chrome_at, Status, Watchdog};
 use cdvm_mem::Rng64;
-use cdvm_stats::{ChromeTrace, Metrics, PromText};
+use cdvm_stats::PromKind::{self, Counter, Gauge};
+use cdvm_stats::{ChromeTrace, MetricValue, Metrics, PromText};
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::AppProfile;
 
 use crate::error::{OverloadScope, ServeError};
 use crate::job::{JobOutput, JobSpec, JobState, WarmLevel};
 use crate::lock;
-use crate::pool::{PoolConfig, WarmPool};
+use crate::pool::{ImageState, PoolConfig, WarmPool};
 use crate::scheduler::{Pop, WorkQueues};
 use crate::slo::{SloConfig, SloEngine, SloKind, SloState};
 use crate::spans::JobSpans;
@@ -217,6 +218,136 @@ struct Inner {
 /// Host nanoseconds from the service epoch to `t` (span timestamps).
 fn ns_since(epoch: Instant, t: Instant) -> u64 {
     t.saturating_duration_since(epoch).as_nanos() as u64
+}
+
+/// One number exported by both `/healthz` and `/metrics`, read from a
+/// source `S`: the service, one pool image or one SLO objective.
+/// [`Service::health`] and [`Service::prometheus`] both render from
+/// these declarations, so the two views cannot drift apart.
+struct Stat<S> {
+    /// The `/healthz` key.
+    key: &'static str,
+    /// The `/metrics` family and its HELP text.
+    family: &'static str,
+    help: &'static str,
+    kind: PromKind,
+    /// Labels that follow the source's own (`machine`/`app`,
+    /// `objective`) and tell the family's members apart.
+    labels: &'static [(&'static str, &'static str)],
+    read: fn(&S) -> MetricValue,
+}
+
+/// The service-wide numbers, in `/healthz` order.
+#[rustfmt::skip]
+const SERVICE_STATS: &[Stat<Inner>] = &[
+    Stat { key: "draining", family: "cdvm_draining", help: "1 once drain began.", kind: Gauge,
+           labels: &[], read: |s| s.draining.load(Ordering::SeqCst).into() },
+    Stat { key: "inflight", family: "cdvm_inflight", help: "Admitted-but-not-terminal jobs.",
+           kind: Gauge, labels: &[], read: |s| s.inflight.load(Ordering::SeqCst).into() },
+    Stat { key: "queued", family: "cdvm_queued", help: "Jobs waiting in worker deques.", kind: Gauge,
+           labels: &[], read: |s| s.queues.depths().iter().sum::<usize>().into() },
+    Stat { key: "delayed", family: "cdvm_delayed", help: "Jobs waiting out a retry backoff.",
+           kind: Gauge, labels: &[], read: |s| s.queues.delayed_len().into() },
+    Stat { key: "completed", family: "cdvm_jobs_total", help: "Jobs by terminal outcome.", kind: Counter,
+           labels: &[("outcome", "completed")], read: |s| s.counters.completed.load(Ordering::Relaxed).into() },
+    Stat { key: "failed", family: "cdvm_jobs_total", help: "Jobs by terminal outcome.", kind: Counter,
+           labels: &[("outcome", "failed")], read: |s| s.counters.failed.load(Ordering::Relaxed).into() },
+    Stat { key: "expired", family: "cdvm_jobs_total", help: "Jobs by terminal outcome.", kind: Counter,
+           labels: &[("outcome", "expired")], read: |s| s.counters.expired.load(Ordering::Relaxed).into() },
+    Stat { key: "cancelled", family: "cdvm_jobs_total", help: "Jobs by terminal outcome.", kind: Counter,
+           labels: &[("outcome", "cancelled")], read: |s| s.counters.cancelled.load(Ordering::Relaxed).into() },
+    Stat { key: "shed", family: "cdvm_sheds_total", help: "Submissions shed by admission control.",
+           kind: Counter, labels: &[], read: |s| s.counters.shed.load(Ordering::Relaxed).into() },
+    Stat { key: "retries", family: "cdvm_retries_total", help: "Retry attempts beyond each job's first.",
+           kind: Counter, labels: &[], read: |s| s.counters.retries.load(Ordering::Relaxed).into() },
+    Stat { key: "orphan_requeues", family: "cdvm_orphan_requeues_total",
+           help: "Jobs requeued after a worker death.", kind: Counter, labels: &[],
+           read: |s| s.counters.orphan_requeues.load(Ordering::Relaxed).into() },
+    Stat { key: "worker_deaths", family: "cdvm_worker_deaths_total",
+           help: "Worker deaths caught by the supervisor.", kind: Counter, labels: &[],
+           read: |s| s.counters.worker_deaths.load(Ordering::Relaxed).into() },
+    Stat { key: "poisoned", family: "cdvm_poisoned_total",
+           help: "Job signatures poisoned after retry exhaustion.", kind: Counter, labels: &[],
+           read: |s| s.counters.poisoned.load(Ordering::Relaxed).into() },
+    Stat { key: "poison_entries", family: "cdvm_poison_entries", help: "Currently poisoned job signatures.",
+           kind: Gauge, labels: &[], read: |s| lock(&s.poison).len().into() },
+    Stat { key: "double_terminal", family: "cdvm_double_terminal_total",
+           help: "Refused second terminal transitions (must stay 0).", kind: Counter, labels: &[],
+           read: |s| s.counters.double_terminal.load(Ordering::Relaxed).into() },
+    Stat { key: "steals", family: "cdvm_steals_total", help: "Jobs stolen from a sibling worker's deque.",
+           kind: Counter, labels: &[], read: |s| s.queues.steals().into() },
+    Stat { key: "trace_dropped", family: "cdvm_trace_dropped_total",
+           help: "Trace-buffer records dropped across completed runs.", kind: Counter, labels: &[],
+           read: |s| lock(&s.telemetry).trace_dropped.into() },
+    Stat { key: "uncrackable_insts", family: "cdvm_uncrackable_insts_total",
+           help: "Guest instructions the cracker could not decode.", kind: Counter, labels: &[],
+           read: |s| lock(&s.telemetry).uncrackable_insts.into() },
+];
+
+/// The per-image pool numbers, labelled `machine`/`app` on `/metrics`.
+#[rustfmt::skip]
+const POOL_STATS: &[Stat<ImageState>] = &[
+    Stat { key: "ready", family: "cdvm_pool_ready", help: "Pre-stamped ready instances per golden image.",
+           kind: Gauge, labels: &[], read: |i| i.ready.into() },
+    Stat { key: "restores_clean", family: "cdvm_pool_restores_total", help: "Warm-image restores by outcome.",
+           kind: Counter, labels: &[("kind", "clean")], read: |i| i.health.restores_clean.into() },
+    Stat { key: "restores_degraded", family: "cdvm_pool_restores_total", help: "Warm-image restores by outcome.",
+           kind: Counter, labels: &[("kind", "degraded")], read: |i| i.health.restores_degraded.into() },
+    Stat { key: "restores_failed", family: "cdvm_pool_restores_total", help: "Warm-image restores by outcome.",
+           kind: Counter, labels: &[("kind", "failed")], read: |i| i.health.restores_failed.into() },
+    Stat { key: "cold_stamps", family: "cdvm_pool_cold_stamps_total", help: "Stamps that never attempted a restore.",
+           kind: Counter, labels: &[], read: |i| i.health.cold_stamps.into() },
+    Stat { key: "quarantined", family: "cdvm_pool_quarantined", help: "1 while the image's circuit breaker is open.",
+           kind: Gauge, labels: &[], read: |i| i.health.quarantined.into() },
+    Stat { key: "quarantines", family: "cdvm_pool_quarantines_total", help: "Times an image's breaker opened.",
+           kind: Counter, labels: &[], read: |i| i.health.quarantines.into() },
+    Stat { key: "probes", family: "cdvm_pool_probes_total", help: "Half-open breaker probe restores.",
+           kind: Counter, labels: &[], read: |i| i.health.probes.into() },
+];
+
+/// The per-objective SLO numbers, labelled `objective` on `/metrics`.
+#[rustfmt::skip]
+const SLO_STATS: &[Stat<SloState>] = &[
+    Stat { key: "fast_burn", family: "cdvm_slo_burn_rate",
+           help: "SLO burn rate (error-budget consumption multiple) per window.", kind: Gauge,
+           labels: &[("window", "fast")], read: |o| o.fast_burn.into() },
+    Stat { key: "slow_burn", family: "cdvm_slo_burn_rate",
+           help: "SLO burn rate (error-budget consumption multiple) per window.", kind: Gauge,
+           labels: &[("window", "slow")], read: |o| o.slow_burn.into() },
+    Stat { key: "firing", family: "cdvm_slo_firing", help: "1 while the objective's multi-window alert is firing.",
+           kind: Gauge, labels: &[], read: |o| o.firing.into() },
+    Stat { key: "fired", family: "cdvm_slo_alerts_total", help: "Clear-to-firing alert transitions per objective.",
+           kind: Counter, labels: &[], read: |o| o.fired.into() },
+];
+
+/// Sets every declared number of `src` on the `/healthz` document `m`.
+fn set_stats<S>(m: &mut Metrics, stats: &[Stat<S>], src: &S) {
+    for st in stats {
+        m.set(st.key, (st.read)(src));
+    }
+}
+
+/// Writes every declared number of every source to `/metrics`, family
+/// by family so each family's samples stay contiguous (the format
+/// requires it). `labels` names one source among its siblings.
+fn prom_stats<S>(
+    p: &mut PromText,
+    stats: &[Stat<S>],
+    srcs: &[S],
+    labels: impl Fn(&S) -> Vec<(&'static str, String)>,
+) {
+    let own: Vec<_> = srcs.iter().map(labels).collect();
+    for st in stats {
+        for (src, own) in srcs.iter().zip(&own) {
+            let mut all: Vec<(&str, &str)> = own.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            all.extend_from_slice(st.labels);
+            let v = (st.read)(src).as_f64().unwrap_or(f64::NAN);
+            match st.kind {
+                Counter => p.counter(st.family, st.help, &all, v),
+                _ => p.gauge(st.family, st.help, &all, v),
+            }
+        }
+    }
 }
 
 /// The long-running fleet simulation service.
@@ -451,43 +582,37 @@ impl Service {
     }
 
     /// Service-wide health: lifecycle counters, queue depths, breaker
-    /// and pool state, tenants.
+    /// and pool state, tenants, SLO states.
     pub fn health(&self) -> Metrics {
-        let inner = &self.inner;
-        let c = &inner.counters;
+        let inner = &*self.inner;
         let mut m = Metrics::new();
-        m.set("draining", inner.draining.load(Ordering::SeqCst))
-            .set("drained", inner.drained.load(Ordering::SeqCst))
-            .set("inflight", inner.inflight.load(Ordering::SeqCst) as u64)
-            .set("queued", inner.queues.depths().iter().sum::<usize>() as u64)
-            .set("delayed", inner.queues.delayed_len() as u64)
-            .set("workers", inner.queues.workers() as u64)
-            .set("completed", c.completed.load(Ordering::Relaxed))
-            .set("failed", c.failed.load(Ordering::Relaxed))
-            .set("expired", c.expired.load(Ordering::Relaxed))
-            .set("cancelled", c.cancelled.load(Ordering::Relaxed))
-            .set("shed", c.shed.load(Ordering::Relaxed))
-            .set("retries", c.retries.load(Ordering::Relaxed))
-            .set("orphan_requeues", c.orphan_requeues.load(Ordering::Relaxed))
-            .set("worker_deaths", c.worker_deaths.load(Ordering::Relaxed))
-            .set("poisoned", c.poisoned.load(Ordering::Relaxed))
-            .set("poison_entries", lock(&inner.poison).len() as u64)
-            .set("double_terminal", c.double_terminal.load(Ordering::Relaxed))
-            .set("steals", inner.queues.steals())
+        set_stats(&mut m, SERVICE_STATS, inner);
+        m.set("drained", inner.drained.load(Ordering::SeqCst))
+            .set("workers", inner.queues.workers())
             .set("run_ns_ewma", inner.run_ns_ewma.load(Ordering::Relaxed))
-            .set("tenants", lock(&inner.telemetry).tenant_names())
-            .set("pool", inner.pool.metrics());
-        {
-            let tel = lock(&inner.telemetry);
-            m.set("trace_dropped", tel.trace_dropped)
-                .set("uncrackable_insts", tel.uncrackable_insts);
+            .set("tenants", lock(&inner.telemetry).tenant_names());
+        let mut pool = Metrics::new();
+        for img in inner.pool.states() {
+            let mut e = Metrics::new();
+            e.set("machine", img.kind.to_string())
+                .set("app", img.app)
+                .set("image_bytes", img.image_bytes);
+            set_stats(&mut e, POOL_STATS, &img);
+            e.set("consecutive_bad", u64::from(img.health.consecutive_bad));
+            pool.set(&format!("{:?}/{}", img.kind, img.app), e);
         }
         let slo: Vec<Metrics> = lock(&inner.slo)
             .states()
             .iter()
-            .map(SloState::to_metrics)
+            .map(|o| {
+                let mut e = Metrics::new();
+                e.set("objective", o.kind.name()).set("target", o.target);
+                set_stats(&mut e, SLO_STATS, o);
+                e.set("good", o.good).set("bad", o.bad);
+                e
+            })
             .collect();
-        m.set("slo", slo);
+        m.set("pool", pool).set("slo", slo);
         m
     }
 
@@ -525,54 +650,16 @@ impl Service {
         Some(ct.to_json())
     }
 
-    /// The Prometheus text exposition (`GET /metrics`): job lifecycle
-    /// counters, queue and pool gauges, fleet-wide latency histograms,
-    /// and the SLO burn rates.
+    /// The Prometheus text exposition (`GET /metrics`): every number
+    /// `/healthz` exports (same declarations, same values), plus the
+    /// per-worker queue depths and the fleet-wide latency histograms.
     pub fn prometheus(&self) -> String {
-        let inner = &self.inner;
-        let c = &inner.counters;
+        let inner = &*self.inner;
         let mut p = PromText::new();
-        // Families must stay contiguous: the writer emits HELP/TYPE on
-        // first sight of a name and the parser refuses a re-opened
-        // family.
-        for (outcome, v) in [
-            ("completed", c.completed.load(Ordering::Relaxed)),
-            ("failed", c.failed.load(Ordering::Relaxed)),
-            ("expired", c.expired.load(Ordering::Relaxed)),
-            ("cancelled", c.cancelled.load(Ordering::Relaxed)),
-        ] {
-            p.counter(
-                "cdvm_jobs_total",
-                "Jobs by terminal outcome.",
-                &[("outcome", outcome)],
-                v as f64,
-            );
-        }
-        for (name, help, v) in [
-            ("cdvm_sheds_total", "Submissions shed by admission control.", c.shed.load(Ordering::Relaxed)),
-            ("cdvm_retries_total", "Retry attempts beyond each job's first.", c.retries.load(Ordering::Relaxed)),
-            ("cdvm_orphan_requeues_total", "Jobs requeued after a worker death.", c.orphan_requeues.load(Ordering::Relaxed)),
-            ("cdvm_worker_deaths_total", "Worker deaths caught by the supervisor.", c.worker_deaths.load(Ordering::Relaxed)),
-            ("cdvm_poisoned_total", "Job signatures poisoned after retry exhaustion.", c.poisoned.load(Ordering::Relaxed)),
-            ("cdvm_double_terminal_total", "Refused second terminal transitions (must stay 0).", c.double_terminal.load(Ordering::Relaxed)),
-            ("cdvm_steals_total", "Jobs stolen from a sibling worker's deque.", inner.queues.steals()),
-        ] {
-            p.counter(name, help, &[], v as f64);
-        }
-        p.gauge(
-            "cdvm_inflight",
-            "Admitted-but-not-terminal jobs.",
-            &[],
-            inner.inflight.load(Ordering::SeqCst) as f64,
-        );
-        let depths = inner.queues.depths();
-        p.gauge(
-            "cdvm_queued",
-            "Jobs waiting in worker deques.",
-            &[],
-            depths.iter().sum::<usize>() as f64,
-        );
-        for (w, d) in depths.iter().enumerate() {
+        prom_stats(&mut p, SERVICE_STATS, std::slice::from_ref(inner), |_| {
+            Vec::new()
+        });
+        for (w, d) in inner.queues.depths().iter().enumerate() {
             p.gauge(
                 "cdvm_queue_depth",
                 "Queued jobs per worker deque.",
@@ -580,93 +667,9 @@ impl Service {
                 *d as f64,
             );
         }
-        p.gauge(
-            "cdvm_delayed",
-            "Jobs waiting out a retry backoff.",
-            &[],
-            inner.queues.delayed_len() as f64,
-        );
-        p.gauge(
-            "cdvm_poison_entries",
-            "Currently poisoned job signatures.",
-            &[],
-            lock(&inner.poison).len() as f64,
-        );
-        p.gauge(
-            "cdvm_draining",
-            "1 once drain began.",
-            &[],
-            f64::from(u8::from(inner.draining.load(Ordering::SeqCst))),
-        );
-        // Pool state, one label set per golden image. Collect first so
-        // each family's samples stay contiguous across images.
-        let images: Vec<(String, String, crate::pool::ImageHealth, usize)> = inner
-            .pool
-            .keys()
-            .iter()
-            .filter_map(|&(kind, app)| {
-                let h = inner.pool.health(kind, app)?;
-                let ready = inner.pool.ready_depth(kind, app).unwrap_or(0);
-                Some((format!("{kind}"), app.to_string(), h, ready))
-            })
-            .collect();
-        for (machine, app, _, ready) in &images {
-            p.gauge(
-                "cdvm_pool_ready",
-                "Pre-stamped ready instances per golden image.",
-                &[("machine", machine), ("app", app)],
-                *ready as f64,
-            );
-        }
-        for (machine, app, h, _) in &images {
-            p.gauge(
-                "cdvm_pool_quarantined",
-                "1 while the image's circuit breaker is open.",
-                &[("machine", machine), ("app", app)],
-                f64::from(u8::from(h.quarantined)),
-            );
-        }
-        for kind in ["clean", "degraded", "failed"] {
-            for (machine, app, h, _) in &images {
-                let v = match kind {
-                    "clean" => h.restores_clean,
-                    "degraded" => h.restores_degraded,
-                    _ => h.restores_failed,
-                };
-                p.counter(
-                    "cdvm_pool_restores_total",
-                    "Warm-image restores by outcome.",
-                    &[("machine", machine), ("app", app), ("kind", kind)],
-                    v as f64,
-                );
-            }
-        }
-        for (name, help, pick) in [
-            (
-                "cdvm_pool_cold_stamps_total",
-                "Stamps that never attempted a restore.",
-                0usize,
-            ),
-            (
-                "cdvm_pool_quarantines_total",
-                "Times an image's breaker opened.",
-                1,
-            ),
-            (
-                "cdvm_pool_probes_total",
-                "Half-open breaker probe restores.",
-                2,
-            ),
-        ] {
-            for (machine, app, h, _) in &images {
-                let v = match pick {
-                    0 => h.cold_stamps,
-                    1 => h.quarantines,
-                    _ => h.probes,
-                };
-                p.counter(name, help, &[("machine", machine), ("app", app)], v as f64);
-            }
-        }
+        prom_stats(&mut p, POOL_STATS, &inner.pool.states(), |i| {
+            vec![("machine", i.kind.to_string()), ("app", i.app.to_string())]
+        });
         {
             let tel = lock(&inner.telemetry);
             p.histogram(
@@ -687,50 +690,11 @@ impl Service {
                 &[],
                 &tel.run_ns,
             );
-            p.counter(
-                "cdvm_trace_dropped_total",
-                "Trace-buffer records dropped across completed runs.",
-                &[],
-                tel.trace_dropped as f64,
-            );
-            p.counter(
-                "cdvm_uncrackable_insts_total",
-                "Guest instructions the cracker could not decode.",
-                &[],
-                tel.uncrackable_insts as f64,
-            );
         }
         let states = lock(&inner.slo).states();
-        for s in &states {
-            p.gauge(
-                "cdvm_slo_burn_rate",
-                "SLO burn rate (error-budget consumption multiple) per window.",
-                &[("objective", s.kind.name()), ("window", "fast")],
-                s.fast_burn,
-            );
-            p.gauge(
-                "cdvm_slo_burn_rate",
-                "SLO burn rate (error-budget consumption multiple) per window.",
-                &[("objective", s.kind.name()), ("window", "slow")],
-                s.slow_burn,
-            );
-        }
-        for s in &states {
-            p.gauge(
-                "cdvm_slo_firing",
-                "1 while the objective's multi-window alert is firing.",
-                &[("objective", s.kind.name())],
-                f64::from(u8::from(s.firing)),
-            );
-        }
-        for s in &states {
-            p.counter(
-                "cdvm_slo_alerts_total",
-                "Clear-to-firing alert transitions per objective.",
-                &[("objective", s.kind.name())],
-                s.fired as f64,
-            );
-        }
+        prom_stats(&mut p, SLO_STATS, &states, |o| {
+            vec![("objective", o.kind.name().to_string())]
+        });
         p.render()
     }
 
@@ -1369,5 +1333,36 @@ fn panic_message_str(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         format!("non-string panic payload ({:?})", payload.type_id())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The exposition writes a family's HELP and TYPE once, at its first
+    /// sample, and a family may not reopen: declarations sharing a family
+    /// must sit together, agree on HELP and kind, and stay in one table.
+    #[test]
+    fn declared_families_are_contiguous_and_consistent() {
+        fn families<S>(stats: &[Stat<S>]) -> Vec<&'static str> {
+            for (i, st) in stats.iter().enumerate() {
+                if let Some(j) = stats[..i].iter().rposition(|o| o.family == st.family) {
+                    assert_eq!(j + 1, i, "{} is split", st.family);
+                    let (a, b) = (&stats[j], st);
+                    assert_eq!((a.help, a.kind), (b.help, b.kind), "{}", st.family);
+                }
+            }
+            stats.iter().map(|st| st.family).collect()
+        }
+        let mut all = families(SERVICE_STATS);
+        all.extend(families(POOL_STATS));
+        all.extend(families(SLO_STATS));
+        assert_eq!(all.len(), 18 + 8 + 4);
+        all.dedup();
+        let contiguous = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), contiguous, "a family spans two tables");
     }
 }

@@ -21,8 +21,6 @@
 
 use std::time::Instant;
 
-use cdvm_stats::Metrics;
-
 /// The built-in objectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloKind {
@@ -128,22 +126,6 @@ pub struct SloState {
     pub good: u64,
     /// Bad events in the slow window.
     pub bad: u64,
-}
-
-impl SloState {
-    /// Renders the state as a metrics document.
-    pub fn to_metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        m.set("objective", self.kind.name())
-            .set("target", self.target)
-            .set("fast_burn", self.fast_burn)
-            .set("slow_burn", self.slow_burn)
-            .set("firing", self.firing)
-            .set("fired", self.fired)
-            .set("good", self.good)
-            .set("bad", self.bad);
-        m
-    }
 }
 
 /// The objective registry. All mutation goes through `record`/`states`;

@@ -1,0 +1,269 @@
+//! The API's two edges, over a real socket: hostile request bodies get
+//! a 400 and leave the service serving, and `/healthz` and `/metrics`
+//! report the same value for every number both export.
+
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
+
+use cdvm_serve::api::ApiServer;
+use cdvm_serve::{JobSpec, JobState, ServeConfig, Service, SloConfig};
+use cdvm_stats::json::{Json, Parser};
+use cdvm_stats::parse_exposition;
+use cdvm_uarch::MachineKind;
+use cdvm_workloads::winstone2004;
+
+fn config(apps: &[&str]) -> ServeConfig {
+    let profiles = winstone2004();
+    let catalog = apps
+        .iter()
+        .map(|app| {
+            let p = profiles
+                .iter()
+                .find(|p| p.name == *app)
+                .expect("app exists");
+            (MachineKind::VmSoft, p.clone())
+        })
+        .collect();
+    ServeConfig {
+        workers: 1,
+        scale: 0.005,
+        catalog,
+        ..ServeConfig::default()
+    }
+}
+
+/// One HTTP request: the status code and the body.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    s.write_all(head.as_bytes()).expect("write head");
+    s.write_all(body.as_bytes()).expect("write body");
+    let mut buf = String::new();
+    s.read_to_string(&mut buf).expect("read");
+    let (head, body) = buf.split_once("\r\n\r\n").expect("header/body split");
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .expect("status");
+    (status, body.to_string())
+}
+
+#[test]
+fn hostile_bodies_get_400_and_the_service_keeps_serving() {
+    let svc = Arc::new(Service::start(config(&["Word"])));
+    let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");
+    let addr = server.addr();
+
+    // Both nest 100,000 deep in well under the 1 MiB body cap: a reader
+    // that recursed without a bound would overflow the connection
+    // thread's stack and abort the whole process.
+    let deep_arrays = "[".repeat(100_000);
+    let deep_objects = "{\"a\": ".repeat(100_000);
+    for body in [&deep_arrays, &deep_objects] {
+        let (status, reply) = request(addr, "POST", "/jobs", body);
+        assert_eq!(status, 400, "{reply}");
+        let error = Parser::parse(&reply)
+            .get("error")
+            .map(|e| e.as_str().to_string());
+        assert_eq!(error.as_deref(), Some("body is not a flat JSON object"));
+        // The other body-reading route treats a non-JSON body as "clear
+        // everything" and must survive it too.
+        let (status, reply) = request(addr, "POST", "/poison/clear", body);
+        assert_eq!(status, 200, "{reply}");
+    }
+
+    let (status, reply) = request(
+        addr,
+        "POST",
+        "/jobs",
+        r#"{"tenant": "t", "app": "Word", "machine": "vm.soft"}"#,
+    );
+    assert_eq!(status, 202, "{reply}");
+    let id = Parser::parse(&reply).get("job").expect("job id").as_num() as u64;
+    let (status, reply) = request(addr, "GET", &format!("/jobs/{id}?wait_ms=120000"), "");
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(
+        Parser::parse(&reply).get("state").map(Json::as_str),
+        Some("completed")
+    );
+}
+
+/// One shared number: `/healthz` key, `/metrics` family, labels.
+type Shared = (
+    &'static str,
+    &'static str,
+    &'static [(&'static str, &'static str)],
+);
+
+/// The service-wide numbers.
+const SERVICE: [Shared; 18] = [
+    ("draining", "cdvm_draining", &[]),
+    ("inflight", "cdvm_inflight", &[]),
+    ("queued", "cdvm_queued", &[]),
+    ("delayed", "cdvm_delayed", &[]),
+    ("completed", "cdvm_jobs_total", &[("outcome", "completed")]),
+    ("failed", "cdvm_jobs_total", &[("outcome", "failed")]),
+    ("expired", "cdvm_jobs_total", &[("outcome", "expired")]),
+    ("cancelled", "cdvm_jobs_total", &[("outcome", "cancelled")]),
+    ("shed", "cdvm_sheds_total", &[]),
+    ("retries", "cdvm_retries_total", &[]),
+    ("orphan_requeues", "cdvm_orphan_requeues_total", &[]),
+    ("worker_deaths", "cdvm_worker_deaths_total", &[]),
+    ("poisoned", "cdvm_poisoned_total", &[]),
+    ("poison_entries", "cdvm_poison_entries", &[]),
+    ("double_terminal", "cdvm_double_terminal_total", &[]),
+    ("steals", "cdvm_steals_total", &[]),
+    ("trace_dropped", "cdvm_trace_dropped_total", &[]),
+    ("uncrackable_insts", "cdvm_uncrackable_insts_total", &[]),
+];
+
+/// Per pool image; `/metrics` adds `machine` and `app` labels first.
+const POOL: [Shared; 8] = [
+    ("ready", "cdvm_pool_ready", &[]),
+    (
+        "restores_clean",
+        "cdvm_pool_restores_total",
+        &[("kind", "clean")],
+    ),
+    (
+        "restores_degraded",
+        "cdvm_pool_restores_total",
+        &[("kind", "degraded")],
+    ),
+    (
+        "restores_failed",
+        "cdvm_pool_restores_total",
+        &[("kind", "failed")],
+    ),
+    ("cold_stamps", "cdvm_pool_cold_stamps_total", &[]),
+    ("quarantined", "cdvm_pool_quarantined", &[]),
+    ("quarantines", "cdvm_pool_quarantines_total", &[]),
+    ("probes", "cdvm_pool_probes_total", &[]),
+];
+
+/// Per SLO objective; `/metrics` adds the `objective` label first.
+const SLO: [Shared; 4] = [
+    ("fast_burn", "cdvm_slo_burn_rate", &[("window", "fast")]),
+    ("slow_burn", "cdvm_slo_burn_rate", &[("window", "slow")]),
+    ("firing", "cdvm_slo_firing", &[]),
+    ("fired", "cdvm_slo_alerts_total", &[]),
+];
+
+/// A `/healthz` scalar as an exposition sample value.
+fn sample_value(v: Option<&Json>) -> f64 {
+    match v {
+        Some(Json::Num(n)) => *n,
+        Some(Json::Bool(b)) => f64::from(u8::from(*b)),
+        other => panic!("not a scalar: {other:?}"),
+    }
+}
+
+#[test]
+fn healthz_and_metrics_agree_on_every_shared_number() {
+    let svc = Arc::new(Service::start(ServeConfig {
+        global_queue_cap: 2,
+        // Hour-wide SLO buckets: no window rolls between the two reads,
+        // so the burn rates are the same number in both.
+        slo: SloConfig {
+            bucket_ms: 3_600_000,
+            ..SloConfig::default()
+        },
+        ..config(&["Word", "Excel"])
+    }));
+    for app in ["Word", "Excel"] {
+        let id = svc
+            .submit(JobSpec::new("t", app, MachineKind::VmSoft))
+            .expect("admitted");
+        let st = svc.wait(id, Duration::from_secs(120)).expect("job exists");
+        assert!(matches!(st, JobState::Completed(_)), "{st:?}");
+    }
+    // Burst until admission control sheds one.
+    while svc
+        .submit(JobSpec::new("burst", "Word", MachineKind::VmSoft))
+        .is_ok()
+    {}
+    svc.drain(None).expect("drain");
+
+    let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");
+    let (status, body) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let health = Parser::parse(&body);
+    let (status, text) = request(server.addr(), "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let families = parse_exposition(&text).expect("exposition parses strictly");
+    let sample = |family: &str, labels: &[(&str, &str)]| {
+        families
+            .iter()
+            .find(|f| f.name == family)
+            .and_then(|f| f.sample(family, labels))
+            .unwrap_or_else(|| panic!("no {family} sample labelled {labels:?}:\n{text}"))
+            .value
+    };
+
+    let mut compared = 0;
+    for (key, family, labels) in SERVICE {
+        assert_eq!(
+            sample_value(health.get(key)),
+            sample(family, labels),
+            "{key}"
+        );
+        compared += 1;
+    }
+    let Some(Json::Obj(images)) = health.get("pool") else {
+        panic!("pool missing: {body}");
+    };
+    assert_eq!(images.len(), 2);
+    for (_, img) in images {
+        let machine = img.get("machine").expect("machine").as_str();
+        let app = img.get("app").expect("app").as_str();
+        for (key, family, extra) in POOL {
+            let mut labels = vec![("machine", machine), ("app", app)];
+            labels.extend_from_slice(extra);
+            assert_eq!(
+                sample_value(img.get(key)),
+                sample(family, &labels),
+                "{app} {key}"
+            );
+            compared += 1;
+        }
+    }
+    let objectives = health.get("slo").expect("slo").as_arr();
+    assert_eq!(objectives.len(), 3);
+    for o in objectives {
+        let objective = o.get("objective").expect("objective").as_str();
+        for (key, family, extra) in SLO {
+            let mut labels = vec![("objective", objective)];
+            labels.extend_from_slice(extra);
+            assert_eq!(
+                sample_value(o.get(key)),
+                sample(family, &labels),
+                "{objective} {key}"
+            );
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 18 + 8 * 2 + 4 * 3);
+
+    // The comparison is not between zeros: jobs completed, some were
+    // shed, the pool restored, and the error-rate objective burned.
+    assert!(sample_value(health.get("completed")) >= 2.0);
+    assert!(sample_value(health.get("shed")) >= 1.0);
+    assert!(
+        sample(
+            "cdvm_pool_restores_total",
+            &[("app", "Word"), ("kind", "clean")]
+        ) >= 1.0
+    );
+    assert!(
+        sample(
+            "cdvm_slo_burn_rate",
+            &[("objective", "error_rate"), ("window", "fast")]
+        ) > 0.0
+    );
+}

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cdvm_bench::testjson::Parser;
+use cdvm_stats::json::Parser;
 use cdvm_serve::api::ApiServer;
 use cdvm_serve::{JobSpec, JobState, ServeConfig, Service};
 use cdvm_stats::{parse_exposition, MetricValue, Metrics, PromKind};

@@ -76,7 +76,7 @@ fn config(machines: &[MachineKind], apps: &[&str]) -> ServeConfig {
         // The CI neutrality check re-runs this campaign with
         // `CDVM_SPANS=0`: every invariant must hold with span
         // recording disarmed too.
-        spans: std::env::var("CDVM_SPANS").map(|v| v != "0").unwrap_or(true),
+        spans: cdvm_core::trace::env_switch("CDVM_SPANS", true),
         ..ServeConfig::default()
     }
 }

@@ -13,7 +13,9 @@
 //!   p50/p90/p99 percentile queries (translation-episode latencies);
 //! * [`harmonic_mean`] / [`Table`] — aggregation and rendering;
 //! * [`Metrics`] — an insertion-ordered metrics registry with JSON
-//!   export (`metrics.json` emitted by every bench run);
+//!   export (`metrics.json` emitted by every bench run), and [`json`],
+//!   the matching reader (depth-bounded, with a non-panicking entry
+//!   point for network input);
 //! * [`ChromeTrace`] — Chrome `trace_event` JSON writer so flight-
 //!   recorder output loads in Perfetto / `chrome://tracing`;
 //! * [`PromText`] / [`parse_exposition`] — Prometheus text-exposition
@@ -26,6 +28,7 @@ mod breakeven;
 mod chrome_trace;
 mod cycle_histogram;
 mod histogram;
+pub mod json;
 mod metrics;
 mod prom;
 pub mod series;

@@ -28,6 +28,20 @@ pub enum MetricValue {
     Map(Metrics),
 }
 
+impl MetricValue {
+    /// The value as one exposition sample: numbers as themselves,
+    /// booleans as 0/1; `None` for strings, lists and maps.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            MetricValue::U64(n) => Some(n as f64),
+            MetricValue::I64(n) => Some(n as f64),
+            MetricValue::F64(x) => Some(x),
+            MetricValue::Bool(b) => Some(f64::from(u8::from(b))),
+            _ => None,
+        }
+    }
+}
+
 impl From<u64> for MetricValue {
     fn from(v: u64) -> Self {
         MetricValue::U64(v)
