@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::panic)]
 use cdvm_bench::*;
-use cdvm_core::{Status, System};
+use cdvm_core::{Status, System, TelemetryConfig};
 use cdvm_stats::Table;
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app, winstone2004};
@@ -32,7 +32,7 @@ fn main() {
         let mut cfg = MachineConfig::preset(MachineKind::VmSoft);
         cfg.bbt_cache_bytes = kib << 10;
         let mut sys = System::with_config(cfg, wl.mem, wl.entry);
-        arm_telemetry(&mut sys);
+        sys.set_telemetry(TelemetryConfig::full());
         let st = sys.run_to_completion(u64::MAX);
         assert_eq!(st, Status::Halted);
         let vm = sys.vm.as_ref().unwrap();
@@ -54,14 +54,18 @@ fn main() {
         let mut m = system_metrics(profile.name, &mut sys);
         m.set("bbt_cache_kib", kib);
         runs.push(m);
-        if let Some(f) = capture_flight(&format!("{} bbt={kib}KiB", profile.name), &mut sys) {
-            flights.push(f);
-        }
+        flights.push((
+            format!("{} bbt={kib}KiB", profile.name),
+            sys.take_telemetry(),
+        ));
     }
     println!("{}", table.to_markdown());
     println!("(undersized caches thrash: every flush forces cold code back through");
     println!(" Δ_BBT, the startup overhead the hardware assists attack)");
     write_artifact("ablation_codecache.csv", &csv);
-    emit_telemetry_captures("ablation_codecache", &flights);
+    emit_telemetry(
+        "ablation_codecache",
+        flights.iter().map(|(label, t)| (label, t)),
+    );
     emit_metrics("ablation_codecache", scale, runs);
 }

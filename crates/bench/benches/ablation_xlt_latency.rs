@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::panic)]
 use cdvm_bench::*;
-use cdvm_core::{Status, System};
+use cdvm_core::{Status, System, TelemetryConfig};
 use cdvm_stats::Table;
 use cdvm_uarch::{CycleCat, MachineConfig, MachineKind};
 use cdvm_workloads::{build_app, winstone2004};
@@ -39,7 +39,7 @@ fn main() {
             cfg.xlt_latency = lat;
             cfg.bbt_be_cycles = 16.0 + lat as f64;
             let mut sys = System::with_config(cfg, wl.mem, wl.entry);
-            arm_telemetry(&mut sys);
+            sys.set_telemetry(TelemetryConfig::full());
             let st = sys.run_to_completion(u64::MAX);
             assert_eq!(st, Status::Halted);
             fracs.push(100.0 * sys.timing.category_cycles(CycleCat::BbtXlate) / sys.timing.cycles_f());
@@ -47,9 +47,7 @@ fn main() {
             let mut m = system_metrics(p.name, &mut sys);
             m.set("xlt_latency", u64::from(lat));
             runs.push(m);
-            if let Some(f) = capture_flight(&format!("{} xlt={lat}", p.name), &mut sys) {
-                flights.push(f);
-            }
+            flights.push((format!("{} xlt={lat}", p.name), sys.take_telemetry()));
         }
         let f = cdvm_stats::arith_mean(&fracs);
         let c = cdvm_stats::arith_mean(&cycs);
@@ -66,6 +64,9 @@ fn main() {
     println!(" BBT cost is dominated by the HAloop bookkeeping, not the unit's latency,");
     println!(" so even a pessimistic 8–16-cycle decoder preserves most of the benefit)");
     write_artifact("ablation_xlt_latency.csv", &csv);
-    emit_telemetry_captures("ablation_xlt_latency", &flights);
+    emit_telemetry(
+        "ablation_xlt_latency",
+        flights.iter().map(|(label, t)| (label, t)),
+    );
     emit_metrics("ablation_xlt_latency", scale, runs);
 }

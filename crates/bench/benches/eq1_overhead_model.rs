@@ -61,7 +61,10 @@ fn main() {
     println!(" which Eq. 1 does not model — the residual is the memory-hierarchy term)");
     let mut summary = cdvm_stats::Metrics::new();
     summary.set("measured_over_model_ratio", arith_mean(&ratios));
-    emit_telemetry("eq1_overhead_model", &results);
+    emit_telemetry(
+        "eq1_overhead_model",
+        results.iter().map(CurveResult::labelled),
+    );
     emit_metrics_with(
         "eq1_overhead_model",
         scale,

@@ -91,7 +91,10 @@ fn main() {
         .set("vmbe_bbt_overhead_pct", arith_mean(&ovh))
         .set("vmbe_bbt_emu_pct", arith_mean(&emu))
         .set("vmsoft_bbt_overhead_pct", arith_mean(&soft_ovh));
-    emit_telemetry("fig10_bbt_overhead", &results);
+    emit_telemetry(
+        "fig10_bbt_overhead",
+        results.iter().map(CurveResult::labelled),
+    );
     emit_metrics_with(
         "fig10_bbt_overhead",
         scale,

@@ -62,7 +62,10 @@ fn main() {
     println!("to negligible by ~100M; VM.fe decays later (active until hotspots cover");
     println!("execution); VM.soft is identically zero.");
     write_artifact("fig11_assist_activity.csv", &csv);
-    emit_telemetry("fig11_assist_activity", &results);
+    emit_telemetry(
+        "fig11_assist_activity",
+        results.iter().map(CurveResult::labelled),
+    );
     emit_metrics(
         "fig11_assist_activity",
         scale,

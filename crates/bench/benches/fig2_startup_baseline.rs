@@ -91,7 +91,10 @@ fn main() {
     write_artifact("fig2_startup_baseline.csv", &csv);
     let mut summary = cdvm_stats::Metrics::new();
     summary.set("vm_steady_normalized_ipc", steady);
-    emit_telemetry("fig2_startup_baseline", &results);
+    emit_telemetry(
+        "fig2_startup_baseline",
+        results.iter().map(CurveResult::labelled),
+    );
     emit_metrics_with(
         "fig2_startup_baseline",
         scale,

@@ -93,7 +93,10 @@ fn main() {
     write_artifact("fig8_startup_assists.csv", &csv);
     let mut summary = cdvm_stats::Metrics::new();
     summary.set("vm_steady_normalized_ipc", steady);
-    emit_telemetry("fig8_startup_assists", &results);
+    emit_telemetry(
+        "fig8_startup_assists",
+        results.iter().map(CurveResult::labelled),
+    );
     emit_metrics_with(
         "fig8_startup_assists",
         scale,

@@ -59,7 +59,7 @@ fn main() {
     println!("(\">trace\" = did not break even within the simulated trace,");
     println!(" the paper's bars above 200M cycles; Project is expected to stay there.)");
     write_artifact("fig9_breakeven.csv", &csv);
-    emit_telemetry("fig9_breakeven", &results);
+    emit_telemetry("fig9_breakeven", results.iter().map(CurveResult::labelled));
     emit_metrics(
         "fig9_breakeven",
         scale,

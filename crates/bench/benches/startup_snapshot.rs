@@ -20,9 +20,10 @@
 use std::time::Instant;
 
 use cdvm_bench::{
-    banner, bench_check_enabled, emit_metrics_with, read_baseline, write_artifact, write_baseline,
+    banner, bench_check_enabled, emit_metrics_with, read_baseline, time_to_steady, write_artifact,
+    write_baseline,
 };
-use cdvm_core::{FlightRecorder, RecorderConfig, Status, System};
+use cdvm_core::{RecorderConfig, Status, System, TelemetryConfig};
 use cdvm_stats::Metrics;
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app_run, winstone2004};
@@ -43,32 +44,22 @@ struct Lane {
     restore_ns: f64,
 }
 
-/// Modeled cycle count at the end of the first window whose IPC reaches
-/// 90% of the run's final aggregate IPC — the startup transient's end.
-fn time_to_steady(rec: &FlightRecorder) -> u64 {
-    let ws = rec.windows();
-    let total_insts: u64 = ws.iter().map(|w| w.dinsts).sum();
-    let total_cycles: f64 = ws.iter().map(|w| w.dcycles.to_f64()).sum();
-    let final_ipc = total_insts as f64 / total_cycles.max(1.0);
-    for w in ws {
-        if w.dcycles.raw() > 0 && (w.dinsts as f64 / w.dcycles.to_f64()) >= 0.9 * final_ipc {
-            return w.end_cycles;
-        }
-    }
-    ws.last().map_or(0, |w| w.end_cycles)
-}
-
 fn run_lane(name: &'static str, kind: MachineKind, profile_idx: usize) -> Lane {
     let profile = &winstone2004()[profile_idx];
     let wl = build_app_run(profile, SNAP_SCALE, 1.0);
 
     // Cold leg: first invocation, nothing translated yet.
+    let recorder_only = TelemetryConfig {
+        trace: None,
+        recorder: Some(RecorderConfig::default()),
+    };
+    let steady = |sys: &mut System| time_to_steady(&sys.take_telemetry().recorder.unwrap());
     let mut cold = System::with_config(MachineConfig::preset(kind), wl.mem.clone(), wl.entry);
-    cold.enable_recorder(RecorderConfig::default());
+    cold.set_telemetry(recorder_only);
     assert_eq!(cold.run_to_completion(u64::MAX), Status::Halted, "{name}: cold");
     let cold_cycles = cold.cycles();
     let cold_retired = cold.x86_retired();
-    let cold_steady = time_to_steady(cold.recorder().unwrap());
+    let cold_steady = steady(&mut cold);
 
     let t0 = Instant::now();
     let image = cold.snapshot_bytes();
@@ -76,7 +67,7 @@ fn run_lane(name: &'static str, kind: MachineKind, profile_idx: usize) -> Lane {
 
     // Warm leg: second invocation resumed from the image.
     let mut warm = System::with_config(MachineConfig::preset(kind), wl.mem.clone(), wl.entry);
-    warm.enable_recorder(RecorderConfig::default());
+    warm.set_telemetry(recorder_only);
     let t0 = Instant::now();
     let outcome = warm.restore_image_bytes(&image);
     let restore_ns = t0.elapsed().as_nanos() as f64;
@@ -87,7 +78,7 @@ fn run_lane(name: &'static str, kind: MachineKind, profile_idx: usize) -> Lane {
     assert_eq!(warm.run_to_completion(u64::MAX), Status::Halted, "{name}: warm");
     assert_eq!(warm.x86_retired(), cold_retired, "{name}: architected equality");
     let warm_cycles = warm.cycles();
-    let warm_steady = time_to_steady(warm.recorder().unwrap());
+    let warm_steady = steady(&mut warm);
 
     Lane {
         name,

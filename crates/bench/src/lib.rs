@@ -12,11 +12,9 @@
 
 use std::path::{Path, PathBuf};
 
-use cdvm_core::trace::DEFAULT_TRACE_CAPACITY;
 use cdvm_core::vm::TransKind;
 use cdvm_core::{
-    render_chrome, FlightRecorder, Phase, RecorderConfig, Status, System, TraceBuffer, TraceEvent,
-    NUM_PHASES,
+    render_chrome, FlightRecorder, Phase, Status, System, Telemetry, TelemetryConfig, NUM_PHASES,
 };
 use cdvm_stats::json::{Json, Parser};
 use cdvm_stats::{harmonic_mean, ChromeTrace, LogSampler, Metrics};
@@ -62,10 +60,16 @@ pub struct CurveResult {
     /// The run's machine-readable metrics (see [`system_metrics`]).
     pub metrics: Metrics,
     /// The run's flight recorder (time series, phase segments and
-    /// latency histograms), finalized at end of run.
-    pub flight: Option<Box<FlightRecorder>>,
-    /// The run's event-trace ring, for Perfetto instant events.
-    pub trace: Option<TraceBuffer>,
+    /// latency histograms, finalized at end of run) and event trace.
+    pub telemetry: Telemetry,
+}
+
+impl CurveResult {
+    /// The run's telemetry under its Perfetto label (`machine/app`), as
+    /// [`emit_telemetry`] takes it.
+    pub fn labelled(&self) -> (String, &Telemetry) {
+        (format!("{}/{}", self.kind, self.app), &self.telemetry)
+    }
 }
 
 /// Runs one application on one machine, sampling startup curves.
@@ -89,9 +93,13 @@ pub fn run_prebuilt(cfg: MachineConfig, wl: &Workload) -> CurveResult {
     let mut sys = System::with_config(cfg, wl.mem.clone(), wl.entry);
     // Telemetry is free by construction (the recorder and trace are pure
     // observers — see `tests/engine_differential.rs`), so every bench run
-    // records its flight data and event trace for the Perfetto export.
-    sys.enable_trace(DEFAULT_TRACE_CAPACITY);
-    sys.enable_recorder(RecorderConfig::default());
+    // records both for the Perfetto export, at the sizes `CDVM_TRACE` and
+    // `CDVM_RECORDER` ask for when set.
+    let (env, full) = (TelemetryConfig::from_env(), TelemetryConfig::full());
+    sys.set_telemetry(TelemetryConfig {
+        trace: env.trace.or(full.trace),
+        recorder: env.recorder.or(full.recorder),
+    });
     let mut instrs = LogSampler::new(12);
     let mut activity = LogSampler::new(12);
     loop {
@@ -123,21 +131,18 @@ pub fn run_prebuilt(cfg: MachineConfig, wl: &Workload) -> CurveResult {
         None => (0, 0, 0.0),
     };
     let metrics = system_metrics(&wl.name, &mut sys);
-    if let Some(t) = sys.trace() {
-        if t.dropped() > 0 {
-            eprintln!(
-                "[trace] {} on {}: {} of {} events dropped (ring capacity {}); \
-                 set CDVM_TRACE=<larger capacity> for a complete trace",
-                wl.name,
-                cfg.kind,
-                t.dropped(),
-                t.recorded(),
-                DEFAULT_TRACE_CAPACITY
-            );
-        }
+    let telemetry = sys.take_telemetry();
+    if let Some(t) = telemetry.trace.as_deref().filter(|t| t.dropped() > 0) {
+        eprintln!(
+            "[trace] {} on {}: {} of {} events dropped (ring capacity {}); \
+             set CDVM_TRACE=<larger capacity> for a complete trace",
+            wl.name,
+            cfg.kind,
+            t.dropped(),
+            t.recorded(),
+            t.len()
+        );
     }
-    let trace = sys.trace().cloned();
-    let flight = sys.take_recorder();
     CurveResult {
         kind: cfg.kind,
         app: wl.name.clone(),
@@ -152,8 +157,7 @@ pub fn run_prebuilt(cfg: MachineConfig, wl: &Workload) -> CurveResult {
         fused_frac,
         phase_cycles: sys.stats.phase_cycles,
         metrics,
-        flight,
-        trace,
+        telemetry,
     }
 }
 
@@ -299,52 +303,61 @@ pub fn emit_metrics_with(bench: &str, scale: f64, runs: Vec<Metrics>, summary: M
     println!("[metrics] {}", path.display());
 }
 
-/// Writes the bench's flight-recorder artifacts under `target/figures/`:
+/// Writes a bench's telemetry artifacts under `target/figures/`, one
+/// entry per labelled run:
 ///
-/// * `<bench>.series.json` — one entry per run with the full windowed +
-///   log-spaced time series and histogram summaries
-///   ([`FlightRecorder::to_metrics`]); the log series reproduces the
-///   startup IPC curve the figure harnesses plot;
+/// * `<bench>.series.json` — per run with a flight recorder, its label
+///   and the full windowed + log-spaced time series and histogram
+///   summaries ([`FlightRecorder::to_metrics`]); the log series
+///   reproduces the startup IPC curve the figure harnesses plot and ends
+///   at the run's cycle and retired-instruction totals;
 /// * `<bench>.trace.json` — a single Chrome `trace_event` document
-///   (loadable at <https://ui.perfetto.dev>) with one process per run:
-///   phase duration tracks, instant events from the event trace, and the
-///   per-window counter tracks.
-pub fn emit_telemetry(bench: &str, results: &[CurveResult]) {
-    let parts: Vec<(Metrics, &FlightRecorder, Option<&TraceBuffer>, String)> = results
-        .iter()
-        .filter_map(|r| {
-            let rec = r.flight.as_deref()?;
-            let mut meta = Metrics::new();
-            meta.set("machine", format!("{}", r.kind))
-                .set("app", r.app.clone())
-                .set("cycles", r.cycles)
-                .set("x86_retired", r.x86_retired);
-            Some((meta, rec, r.trace.as_ref(), format!("{}/{}", r.kind, r.app)))
-        })
-        .collect();
-    write_telemetry_files(bench, parts);
+///   (loadable at <https://ui.perfetto.dev>) with one process per run,
+///   named by its label: phase duration tracks, instant events from the
+///   event trace, and the per-window counter tracks.
+pub fn emit_telemetry<'a, L: AsRef<str>>(
+    bench: &str,
+    runs: impl IntoIterator<Item = (L, &'a Telemetry)>,
+) {
+    let mut series = Vec::new();
+    let mut ct = ChromeTrace::new();
+    for (i, (label, t)) in runs.into_iter().enumerate() {
+        let label = label.as_ref();
+        if let Some(rec) = t.recorder.as_deref() {
+            let mut run = Metrics::new();
+            run.set("label", label).set("series", rec.to_metrics());
+            series.push(run);
+        }
+        render_chrome(&mut ct, i as u32 + 1, label, 0.0, t);
+    }
+    let mut top = Metrics::new();
+    top.set("bench", bench);
+    top.set("runs", series);
+    let path = out_dir().join(format!("{bench}.series.json"));
+    std::fs::write(&path, top.to_json()).expect("write series artifact");
+    println!("[series] {}", path.display());
+    let path = out_dir().join(format!("{bench}.trace.json"));
+    std::fs::write(&path, ct.to_json()).expect("write trace artifact");
+    println!(
+        "[trace] {} (load in https://ui.perfetto.dev)",
+        path.display()
+    );
 }
 
-/// One directly-driven run's telemetry, captured with [`capture_flight`]
-/// (the path for benches that sweep `System` configurations themselves
-/// instead of going through [`run_prebuilt`]).
-pub struct FlightCapture {
-    label: String,
-    meta: Metrics,
-    flight: Box<FlightRecorder>,
-    trace: Option<TraceBuffer>,
-}
-
-impl FlightCapture {
-    /// The captured flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.flight
+/// Modeled cycle count at the end of the first recorder window whose IPC
+/// reaches 90% of the run's final aggregate IPC — where the startup
+/// transient ends.
+pub fn time_to_steady(rec: &FlightRecorder) -> u64 {
+    let ws = rec.windows();
+    let total_insts: u64 = ws.iter().map(|w| w.dinsts).sum();
+    let total_cycles: f64 = ws.iter().map(|w| w.dcycles.to_f64()).sum();
+    let final_ipc = total_insts as f64 / total_cycles.max(1.0);
+    for w in ws {
+        if w.dcycles.raw() > 0 && (w.dinsts as f64 / w.dcycles.to_f64()) >= 0.9 * final_ipc {
+            return w.end_cycles;
+        }
     }
-
-    /// The run's Perfetto process-track label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
+    ws.last().map_or(0, |w| w.end_cycles)
 }
 
 /// Whether `CDVM_BENCH_CHECK` asks the bench to enforce its regression
@@ -437,70 +450,11 @@ fn git_head_sha(root: &Path) -> Option<String> {
     })
 }
 
-/// Arms the standard bench telemetry stack (event trace + flight
-/// recorder) on a directly-driven system. Call right after
-/// `System::with_config`, before the run.
-pub fn arm_telemetry(sys: &mut System) {
-    sys.enable_trace(DEFAULT_TRACE_CAPACITY);
-    sys.enable_recorder(RecorderConfig::default());
-}
-
-/// Detaches a finished system's flight data for
-/// [`emit_telemetry_captures`]. Returns `None` when no recorder was
-/// armed. `label` names the run's Perfetto process track.
-pub fn capture_flight(label: &str, sys: &mut System) -> Option<FlightCapture> {
-    let trace = sys.trace().cloned();
-    let mut meta = Metrics::new();
-    meta.set("machine", format!("{}", sys.kind))
-        .set("label", label)
-        .set("cycles", sys.cycles())
-        .set("x86_retired", sys.x86_retired());
-    let flight = sys.take_recorder()?;
-    Some(FlightCapture {
-        label: label.to_string(),
-        meta,
-        flight,
-        trace,
-    })
-}
-
-/// [`emit_telemetry`] for [`FlightCapture`]s.
-pub fn emit_telemetry_captures(bench: &str, caps: &[FlightCapture]) {
-    let parts: Vec<(Metrics, &FlightRecorder, Option<&TraceBuffer>, String)> = caps
-        .iter()
-        .map(|c| (c.meta.clone(), &*c.flight, c.trace.as_ref(), c.label.clone()))
-        .collect();
-    write_telemetry_files(bench, parts);
-}
-
-fn write_telemetry_files(
-    bench: &str,
-    parts: Vec<(Metrics, &FlightRecorder, Option<&TraceBuffer>, String)>,
-) {
-    let mut runs = Vec::new();
-    let mut ct = ChromeTrace::new();
-    for (i, (mut meta, rec, trace, label)) in parts.into_iter().enumerate() {
-        meta.set("series", rec.to_metrics());
-        runs.push(meta);
-        render_chrome(&mut ct, i as u32 + 1, &label, rec, trace);
-    }
-    let mut top = Metrics::new();
-    top.set("bench", bench);
-    top.set("runs", runs);
-    let path = out_dir().join(format!("{bench}.series.json"));
-    std::fs::write(&path, top.to_json()).expect("write series artifact");
-    println!("[series] {}", path.display());
-    let path = out_dir().join(format!("{bench}.trace.json"));
-    std::fs::write(&path, ct.to_json()).expect("write trace artifact");
-    println!("[trace] {} (load in https://ui.perfetto.dev)", path.display());
-}
-
 /// Runs all ten apps × the given machines, in parallel.
 ///
 /// Failures are not silently dropped: the returned [`Matrix`] carries
-/// every [`JobFailure`] plus a structured `job_failed` event trace, and
-/// the figure harnesses go through [`Matrix::take_results`] so a thinned
-/// figure is always announced.
+/// every [`JobFailure`], and the figure harnesses go through
+/// [`Matrix::take_results`] so a thinned figure is always announced.
 pub fn run_matrix(kinds: &[MachineKind], scale: f64, length_mult: f64) -> Matrix {
     let profiles = winstone2004();
     let mut jobs: Vec<(MachineKind, AppProfile)> = Vec::new();
@@ -524,24 +478,19 @@ pub struct JobFailure {
 }
 
 /// The outcome of a parallel job matrix: completed curve results plus
-/// every failure, both in submission order, and a trace ring holding one
-/// structured [`TraceEvent::JobFailed`] per failure.
+/// every failure, both in submission order.
 #[derive(Debug)]
 pub struct Matrix {
     /// Results of the jobs that completed.
     pub results: Vec<CurveResult>,
     /// Jobs that panicked (isolated per job; see [`run_jobs_with`]).
     pub failures: Vec<JobFailure>,
-    /// Harness-level event trace (`job_failed` events, in failure
-    /// order). Empty when every job completed.
-    pub trace: TraceBuffer,
 }
 
 impl Matrix {
     /// Returns the completed results, first warning loudly (stderr, one
-    /// line per failure plus the structured trace rendering) when any
-    /// job failed — a figure generated from a thinned matrix must never
-    /// look complete.
+    /// line per failure) when any job failed — a figure generated from a
+    /// thinned matrix must never look complete.
     pub fn take_results(self, context: &str) -> Vec<CurveResult> {
         if !self.failures.is_empty() {
             eprintln!(
@@ -551,9 +500,6 @@ impl Matrix {
             );
             for f in &self.failures {
                 eprintln!("[{context}] [job_failed] {} on {:?}: {}", f.app, f.kind, f.message);
-            }
-            for rec in self.trace.iter() {
-                eprintln!("[{context}] [trace] {}", rec.event);
             }
         }
         self.results
@@ -566,8 +512,8 @@ impl Matrix {
 }
 
 /// Runs an explicit job list in parallel (bounded by available cores).
-/// A job that panics is isolated, recorded as a [`JobFailure`] and a
-/// `job_failed` trace event; the other jobs still complete.
+/// A job that panics is isolated and recorded as a [`JobFailure`]; the
+/// other jobs still complete.
 pub fn run_jobs(jobs: Vec<(MachineKind, AppProfile)>, scale: f64, length_mult: f64) -> Matrix {
     // Build each distinct app image once up front; every machine config
     // then shares it through a copy-on-write memory clone instead of
@@ -589,29 +535,7 @@ pub fn run_jobs(jobs: Vec<(MachineKind, AppProfile)>, scale: f64, length_mult: f
             }
         }
     });
-    let mut trace = TraceBuffer::new(failures.len().max(1));
-    for f in &failures {
-        // The app name in the catalog is `&'static`; find it back so the
-        // Copy trace event can carry it.
-        let app = images
-            .iter()
-            .map(|(n, _)| *n)
-            .find(|n| *n == f.app)
-            .unwrap_or("<unknown app>");
-        trace.push(
-            0,
-            TraceEvent::JobFailed {
-                app,
-                machine: f.kind,
-                attempts: 1,
-            },
-        );
-    }
-    Matrix {
-        results,
-        failures,
-        trace,
-    }
+    Matrix { results, failures }
 }
 
 /// Runs each `(machine, app)` job through `runner` on a bounded worker
@@ -919,9 +843,13 @@ mod tests {
             0.01,
             1.0,
         );
-        let rec = r.flight.as_deref().expect("bench runs always record");
+        let rec = r
+            .telemetry
+            .recorder
+            .as_deref()
+            .expect("bench runs always record");
         let mut ct = ChromeTrace::new();
-        render_chrome(&mut ct, 1, "round-trip", rec, r.trace.as_ref());
+        render_chrome(&mut ct, 1, "round-trip", 0.0, &r.telemetry);
         let doc = Parser::parse(&ct.to_json());
         let events = doc.get("traceEvents").expect("envelope").as_arr();
         assert!(!events.is_empty());
@@ -982,7 +910,7 @@ mod tests {
             "fault_recovered",
             "unchained",
         ];
-        let expect_instants = r.trace.as_ref().is_some_and(|t| {
+        let expect_instants = r.telemetry.trace.as_ref().is_some_and(|t| {
             t.kind_counts()
                 .iter()
                 .any(|(k, n)| INSTANT_KINDS.contains(k) && *n > 0)

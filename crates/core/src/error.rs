@@ -75,7 +75,8 @@ pub enum RestoreError {
     /// The image ends before its own header, section table or trailer.
     Truncated,
     /// The header or section table is self-inconsistent (offsets or
-    /// lengths point outside the image, absurd section counts, …).
+    /// lengths point outside the image, absurd section counts, nonzero
+    /// reserved header words, …).
     Malformed,
     /// A section's payload failed its checksum or did not parse.
     BadSection {
@@ -88,8 +89,6 @@ pub enum RestoreError {
     /// the image belongs to a different workload (or the code was
     /// modified since the save).
     WorkloadMismatch,
-    /// A delta image's parent checksum does not match the supplied base.
-    ParentMismatch,
     /// The image file could not be read.
     ReadFailed,
     /// Restore was requested on a system that has already executed;
@@ -114,9 +113,6 @@ impl std::fmt::Display for RestoreError {
             }
             RestoreError::WorkloadMismatch => {
                 write!(f, "warm image does not match the guest's code pages")
-            }
-            RestoreError::ParentMismatch => {
-                write!(f, "delta image's parent does not match the supplied base")
             }
             RestoreError::ReadFailed => write!(f, "warm image could not be read"),
             RestoreError::NotColdBoot => {

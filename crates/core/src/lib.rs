@@ -68,12 +68,12 @@ pub use faultinj::{FaultInjector, FaultKind, ImageFault, ImageFaultReport, Injec
 pub use opt::{optimize_run, RunStats};
 pub use pcmap::{CreditMap, PcCounter, PcMap, PcSet};
 pub use recorder::{
-    render_chrome, render_chrome_at, FlightRecorder, PhaseSegment, RecorderConfig,
+    render_chrome, FlightRecorder, PhaseSegment, RecorderConfig, Telemetry, TelemetryConfig,
     TelemetrySnapshot, WindowSample,
 };
 pub use snapshot::{
-    fnv1a64, image_summary, merge_images, section_name, write_image_atomic, ImageSummary,
-    SectionInfo, FORMAT_VERSION,
+    fnv1a64, image_summary, section_name, write_image_atomic, ImageSummary, SectionInfo,
+    FORMAT_VERSION,
 };
 pub use system::{RestoreOutcome, Status, System, SystemStats, DEFAULT_STACK_TOP};
 pub use trace::{Phase, Trace, TraceBuffer, TraceEvent, TraceRecord, NUM_PHASES};

@@ -30,7 +30,9 @@
 use cdvm_stats::{ChromeTrace, CycleHistogram, LogSampler, Metrics};
 use cdvm_uarch::Cycles;
 
-use crate::trace::{parse_enable_env, Phase, TraceBuffer, TraceEvent, NUM_PHASES};
+use crate::trace::{
+    parse_enable_env, Phase, TraceBuffer, TraceEvent, DEFAULT_TRACE_CAPACITY, NUM_PHASES,
+};
 use crate::vm::TransKind;
 
 /// Flight-recorder tuning knobs.
@@ -63,22 +65,62 @@ impl Default for RecorderConfig {
     }
 }
 
-/// Recorder configuration requested through the `CDVM_RECORDER`
-/// environment variable: unset/`off` disables, `1`/`on` selects the
-/// defaults, any other number overrides the phase-segment ring capacity;
-/// `0` and garbage are rejected with a stderr message. Read once per
-/// process.
-pub fn env_recorder_config() -> Option<RecorderConfig> {
-    use std::sync::OnceLock;
-    static CFG: OnceLock<Option<usize>> = OnceLock::new();
-    CFG.get_or_init(|| {
-        let v = std::env::var("CDVM_RECORDER").ok();
-        parse_enable_env("CDVM_RECORDER", v.as_deref(), DEFAULT_SEGMENT_CAPACITY)
-    })
-    .map(|cap| RecorderConfig {
-        segment_capacity: cap,
-        ..RecorderConfig::default()
-    })
+/// Which telemetry collectors a `System` runs: the event-trace ring and
+/// the flight recorder. `System::set_telemetry` takes one to arm,
+/// re-arm or disarm both at once; the default is both off.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TelemetryConfig {
+    /// Event-trace ring capacity in events (`None`: no trace). The
+    /// reference machine has no VM and never traces.
+    pub trace: Option<usize>,
+    /// Flight-recorder settings (`None`: no recorder).
+    pub recorder: Option<RecorderConfig>,
+}
+
+impl TelemetryConfig {
+    /// Both collectors at their default sizes.
+    pub fn full() -> TelemetryConfig {
+        TelemetryConfig {
+            trace: Some(DEFAULT_TRACE_CAPACITY),
+            recorder: Some(RecorderConfig::default()),
+        }
+    }
+
+    /// The collectors the environment asks for, which every new `System`
+    /// starts with. `CDVM_TRACE` arms the trace and `CDVM_RECORDER` the
+    /// recorder, both in [`parse_enable_env`]'s vocabulary: unset or
+    /// `off` leaves a collector off, `1`/`on` selects its default size,
+    /// and any other number sizes the trace ring (events) or the
+    /// recorder's phase-segment ring. `0` and garbage are rejected with
+    /// a stderr message. Read once per process.
+    pub fn from_env() -> TelemetryConfig {
+        use std::sync::OnceLock;
+        static CFG: OnceLock<TelemetryConfig> = OnceLock::new();
+        *CFG.get_or_init(|| {
+            let read =
+                |var, default| parse_enable_env(var, std::env::var(var).ok().as_deref(), default);
+            TelemetryConfig {
+                trace: read("CDVM_TRACE", DEFAULT_TRACE_CAPACITY),
+                recorder: read("CDVM_RECORDER", DEFAULT_SEGMENT_CAPACITY).map(|cap| {
+                    RecorderConfig {
+                        segment_capacity: cap,
+                        ..RecorderConfig::default()
+                    }
+                }),
+            }
+        })
+    }
+}
+
+/// One run's telemetry, detached from its `System` by
+/// `System::take_telemetry`: what [`render_chrome`] draws and the benches
+/// export.
+#[derive(Debug, Default)]
+pub struct Telemetry {
+    /// The event-trace ring, when tracing was armed.
+    pub trace: Option<Box<TraceBuffer>>,
+    /// The finalized flight recorder, when it was armed.
+    pub recorder: Option<Box<FlightRecorder>>,
 }
 
 /// A read-only copy of every counter the recorder samples, taken by the
@@ -214,8 +256,8 @@ pub struct PhaseSegment {
     pub end: Cycles,
 }
 
-/// The per-run flight recorder. Owned by `System` while recording; taken
-/// with `System::take_recorder` for export.
+/// The per-run flight recorder. Owned by `System` while recording;
+/// detached with `System::take_telemetry` for export.
 #[derive(Debug)]
 pub struct FlightRecorder {
     points_per_decade: u32,
@@ -234,9 +276,6 @@ pub struct FlightRecorder {
     bbt_block_insts: CycleHistogram,
     sbt_block_insts: CycleHistogram,
     chain_burst: CycleHistogram,
-    restore_sections: u64,
-    restore_dropped: u64,
-    restore_failed: u64,
 }
 
 impl FlightRecorder {
@@ -261,9 +300,6 @@ impl FlightRecorder {
             bbt_block_insts: CycleHistogram::new(),
             sbt_block_insts: CycleHistogram::new(),
             chain_burst: CycleHistogram::new(),
-            restore_sections: 0,
-            restore_dropped: 0,
-            restore_failed: 0,
         }
     }
 
@@ -435,28 +471,6 @@ impl FlightRecorder {
         &self.chain_burst
     }
 
-    /// Records the outcome of a warm-image restore attempt: sections
-    /// applied, sections dropped by salvage, and whether the image was
-    /// rejected outright (cold-boot fallback).
-    pub fn note_restore(&mut self, sections: u32, dropped: u32, failed: bool) {
-        self.restore_sections += u64::from(sections);
-        self.restore_dropped += u64::from(dropped);
-        if failed {
-            self.restore_failed += 1;
-        }
-    }
-
-    /// Sections dropped across all restore attempts (`restore_degraded`
-    /// evidence for the corruption campaign).
-    pub fn restore_degraded(&self) -> u64 {
-        self.restore_dropped
-    }
-
-    /// Restore attempts that fell back to a clean cold boot.
-    pub fn restore_failures(&self) -> u64 {
-        self.restore_failed
-    }
-
     /// Serializes the recorded series as a metrics tree (the
     /// `<bench>.series.json` payload): windowed per-interval lists,
     /// log-spaced cumulative samples, and histogram summaries.
@@ -610,50 +624,24 @@ impl FlightRecorder {
         segs.set("recorded", self.segments_recorded())
             .set("dropped", self.segments_dropped());
         m.set("phase_segments", segs);
-
-        let mut restore = Metrics::new();
-        restore
-            .set("sections", self.restore_sections)
-            .set("restore_degraded", self.restore_dropped)
-            .set("failed", self.restore_failed);
-        m.set("restore", restore);
         m
     }
 }
 
-/// Renders one run's flight-recorder data (and optionally its event
-/// trace) into `ct` as Chrome `trace_event` tracks under process `pid`:
-/// phase duration events on tid 0, notable instant events on tid 1, and
-/// per-window counter tracks (IPC, cache occupancy, table entries,
-/// translation/chain activity, per-phase cycles). One modeled cycle maps
-/// to one microsecond.
-pub fn render_chrome(
-    ct: &mut ChromeTrace,
-    pid: u32,
-    label: &str,
-    rec: &FlightRecorder,
-    trace: Option<&TraceBuffer>,
-) {
-    render_chrome_at(ct, pid, label, 0.0, rec, trace);
-}
-
-/// Like [`render_chrome`] but shifts every timestamp by `offset_us`
-/// microseconds, so a VM instance's tracks can be placed at the wall
-/// point where its service-level `run` span starts — the cross-layer
-/// merge behind `GET /jobs/<id>/trace` in `cdvm-serve`.
-pub fn render_chrome_at(
-    ct: &mut ChromeTrace,
-    pid: u32,
-    label: &str,
-    offset_us: f64,
-    rec: &FlightRecorder,
-    trace: Option<&TraceBuffer>,
-) {
+/// Renders one run's telemetry into `ct` as Chrome `trace_event` tracks
+/// under process `pid`: recorder phase durations on tid 0, notable trace
+/// events as instants on tid 1, and per-window counter tracks (IPC, cache
+/// occupancy, table entries, translation/chain activity, per-phase
+/// cycles). One modeled cycle maps to one microsecond, shifted by
+/// `offset_us` — `cdvm-serve` uses the shift to place an instance's
+/// tracks at the wall point where its job's `stamp` span starts.
+pub fn render_chrome(ct: &mut ChromeTrace, pid: u32, label: &str, offset_us: f64, t: &Telemetry) {
     ct.process_name(pid, label);
     ct.thread_name(pid, 0, "phases");
     ct.thread_name(pid, 1, "events");
 
-    for seg in rec.segments() {
+    let rec = t.recorder.as_deref();
+    for seg in rec.into_iter().flat_map(FlightRecorder::segments) {
         ct.complete(
             pid,
             0,
@@ -664,7 +652,7 @@ pub fn render_chrome_at(
         );
     }
 
-    if let Some(tb) = trace {
+    if let Some(tb) = t.trace.as_deref() {
         for r in tb.iter() {
             let ts = r.cycle as f64 + offset_us;
             let mut args = Metrics::new();
@@ -710,16 +698,6 @@ pub fn render_chrome_at(
                     args.set("pc", u64::from(pc));
                     ct.instant_args(pid, 1, "uncrackable_inst", "decode", ts, &args);
                 }
-                TraceEvent::JobFailed {
-                    app,
-                    machine,
-                    attempts,
-                } => {
-                    args.set("app", app)
-                        .set("machine", machine.to_string())
-                        .set("attempts", u64::from(attempts));
-                    ct.instant_args(pid, 1, "job_failed", "job", ts, &args);
-                }
                 // Per-block events are far too frequent for instants;
                 // the counter tracks below carry that activity.
                 TraceEvent::BlockTranslated { .. }
@@ -729,7 +707,7 @@ pub fn render_chrome_at(
         }
     }
 
-    for w in rec.windows() {
+    for w in rec.map_or(&[][..], FlightRecorder::windows) {
         let ts = w.end_cycles as f64 + offset_us;
         ct.counter(pid, "ipc", ts, &[("x86", w.ipc())]);
         ct.counter(
@@ -909,8 +887,12 @@ mod tests {
                 which: crate::error::Watchdog::Fuel { limit: 1 },
             },
         );
+        let t = Telemetry {
+            trace: Some(Box::new(tb)),
+            recorder: Some(Box::new(r)),
+        };
         let mut ct = ChromeTrace::new();
-        render_chrome(&mut ct, 1, "test-run", &r, Some(&tb));
+        render_chrome(&mut ct, 1, "test-run", 0.0, &t);
         let j = ct.to_json();
         assert!(j.contains("\"ph\":\"X\""), "phase durations: {j}");
         assert!(j.contains("\"ph\":\"i\""), "instants: {j}");

@@ -13,8 +13,8 @@
 //! offset  bytes  field
 //!      0      8  magic "CDVMWIMG"
 //!      8      4  format version (u32 LE)
-//!     12      4  flags (bit 0: delta image)
-//!     16      8  parent checksum (whole-image FNV of the base; 0 = full)
+//!     12      4  reserved, 0
+//!     16      8  reserved, 0
 //!     24      4  section count N (≤ 64)
 //!     28   28·N  section table: per section
 //!                  id (u32), payload offset (u64, absolute),
@@ -28,8 +28,9 @@
 //! order never leaks into the bytes), while sequences whose order is
 //! semantically meaningful — pending chain sites per target, indirect
 //! profile targets, the applied-chain journal — keep their stored order.
-//! Canonical encoding is what makes save→restore→save byte-identical and
-//! lets a base+delta merge reproduce a direct full save exactly.
+//! Canonical encoding is what makes save→restore→save byte-identical.
+//! A reader refuses an image whose reserved words are not zero: it was
+//! written by a format this build does not know.
 //!
 //! # Corruption tolerance
 //!
@@ -50,7 +51,6 @@ use crate::error::RestoreError;
 pub const FORMAT_VERSION: u32 = 1;
 
 pub(crate) const MAGIC: [u8; 8] = *b"CDVMWIMG";
-pub(crate) const FLAG_DELTA: u32 = 1;
 pub(crate) const HEADER_BYTES: usize = 28;
 pub(crate) const ENTRY_BYTES: usize = 28;
 pub(crate) const TRAILER_BYTES: usize = 8;
@@ -408,39 +408,9 @@ fn encode_sets(s: &SetsSection) -> Vec<u8> {
     b
 }
 
-/// Assembles header, section table, payloads and trailer around
-/// ready-encoded `(id, payload)` parts (parts must already be in the
-/// order they should appear).
-pub(crate) fn encode_sections(flags: u32, parent: u64, parts: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut img = Vec::new();
-    img.extend_from_slice(&MAGIC);
-    put_u32(&mut img, FORMAT_VERSION);
-    put_u32(&mut img, flags);
-    put_u64(&mut img, parent);
-    put_u32(&mut img, parts.len() as u32);
-    let mut offset = (HEADER_BYTES + ENTRY_BYTES * parts.len()) as u64;
-    for (id, payload) in parts {
-        put_u32(&mut img, *id);
-        put_u64(&mut img, offset);
-        put_u64(&mut img, payload.len() as u64);
-        put_u64(&mut img, fnv1a64(payload));
-        offset += payload.len() as u64;
-    }
-    for (_, payload) in parts {
-        img.extend_from_slice(payload);
-    }
-    let whole = fnv1a64(&img);
-    put_u64(&mut img, whole);
-    img
-}
-
-/// Encodes a full warm image canonically (sections in id order).
+/// Encodes a full warm image canonically: header, section table,
+/// payloads in section-id order, and the whole-image trailer.
 pub(crate) fn encode_image(img: &WarmImage) -> Vec<u8> {
-    encode_sections(0, 0, &image_parts(img))
-}
-
-/// The canonical `(id, payload)` parts of a warm image.
-pub(crate) fn image_parts(img: &WarmImage) -> Vec<(u32, Vec<u8>)> {
     let mut parts = vec![(SEC_META, encode_meta(&img.meta))];
     if let Some(code) = &img.code {
         parts.push((SEC_BBT_CACHE, encode_cache(&code.bbt_cache)));
@@ -459,7 +429,27 @@ pub(crate) fn image_parts(img: &WarmImage) -> Vec<(u32, Vec<u8>)> {
     }
     parts.push((SEC_SETS, encode_sets(&img.sets)));
     parts.sort_by_key(|(id, _)| *id);
-    parts
+
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u32(&mut out, 0); // reserved
+    put_u64(&mut out, 0); // reserved
+    put_u32(&mut out, parts.len() as u32);
+    let mut offset = (HEADER_BYTES + ENTRY_BYTES * parts.len()) as u64;
+    for (id, payload) in &parts {
+        put_u32(&mut out, *id);
+        put_u64(&mut out, offset);
+        put_u64(&mut out, payload.len() as u64);
+        put_u64(&mut out, fnv1a64(payload));
+        offset += payload.len() as u64;
+    }
+    for (_, payload) in &parts {
+        out.extend_from_slice(payload);
+    }
+    let whole = fnv1a64(&out);
+    put_u64(&mut out, whole);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -786,8 +776,6 @@ pub(crate) struct RawEntry {
 /// Header + table of an image, parsed without touching payloads.
 pub(crate) struct RawHeader {
     pub version: u32,
-    pub flags: u32,
-    pub parent: u64,
     pub entries: Vec<RawEntry>,
 }
 
@@ -806,8 +794,11 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<RawHeader, RestoreError> {
     if version != FORMAT_VERSION {
         return Err(RestoreError::UnsupportedVersion { found: version });
     }
-    let flags = r.u32()?;
-    let parent = r.u64()?;
+    if r.u32()? != 0 || r.u64()? != 0 {
+        // The reserved words (once a delta flag and its parent
+        // checksum) are zero in every image this format writes.
+        return Err(RestoreError::Malformed);
+    }
     let count = r.u32()?;
     if count > MAX_SECTIONS {
         return Err(RestoreError::Malformed);
@@ -829,12 +820,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<RawHeader, RestoreError> {
             checksum,
         });
     }
-    Ok(RawHeader {
-        version,
-        flags,
-        parent,
-        entries,
-    })
+    Ok(RawHeader { version, entries })
 }
 
 /// Extracts a section's payload bytes, validating table bounds and the
@@ -856,7 +842,6 @@ fn section_payload<'a>(bytes: &'a [u8], e: &RawEntry) -> Result<&'a [u8], Restor
 /// carries its own verdict so the restore path can salvage.
 #[derive(Debug)]
 pub(crate) struct DecodedImage {
-    pub flags: u32,
     /// Whole-image trailer checksum verdict. A mismatch does not abort
     /// the decode — per-section checksums drive salvage — but it marks
     /// the restore as degraded evidence.
@@ -895,7 +880,6 @@ pub(crate) fn decode_image(bytes: &[u8]) -> Result<DecodedImage, RestoreError> {
         u64::from_le_bytes([t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]])
     };
     let mut img = DecodedImage {
-        flags: hdr.flags,
         whole_ok: whole == trailer,
         meta: None,
         bbt_cache: None,
@@ -939,7 +923,7 @@ pub(crate) fn decode_image(bytes: &[u8]) -> Result<DecodedImage, RestoreError> {
 }
 
 // ---------------------------------------------------------------------------
-// Public inspection, layering and crash-safe write.
+// Public inspection and crash-safe write.
 // ---------------------------------------------------------------------------
 
 /// One section's summary line.
@@ -965,11 +949,6 @@ impl SectionInfo {
 pub struct ImageSummary {
     /// Format version.
     pub version: u32,
-    /// True for a delta (base+delta layered) image.
-    pub delta: bool,
-    /// Whole-image checksum of the base this delta applies to (0 for a
-    /// full image).
-    pub parent: u64,
     /// Whether the whole-image trailer checksum matched.
     pub whole_ok: bool,
     /// Total image size in bytes.
@@ -1004,88 +983,10 @@ pub fn image_summary(bytes: &[u8]) -> Result<ImageSummary, RestoreError> {
         .collect();
     Ok(ImageSummary {
         version: hdr.version,
-        delta: hdr.flags & FLAG_DELTA != 0,
-        parent: hdr.parent,
         whole_ok: whole == trailer,
         total_bytes: bytes.len(),
         sections,
     })
-}
-
-/// `(id, payload)` pairs in section-table order.
-type SectionParts = Vec<(u32, Vec<u8>)>;
-
-/// Strictly extracts `(id, payload)` parts: every section must pass its
-/// bounds and checksum, and the whole-image trailer must match.
-fn strict_parts(bytes: &[u8]) -> Result<(RawHeader, SectionParts), RestoreError> {
-    let hdr = parse_header(bytes)?;
-    let whole = fnv1a64(&bytes[..bytes.len() - TRAILER_BYTES]);
-    let trailer = {
-        let t = &bytes[bytes.len() - TRAILER_BYTES..];
-        u64::from_le_bytes([t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]])
-    };
-    if whole != trailer {
-        return Err(RestoreError::Malformed);
-    }
-    let mut parts = Vec::with_capacity(hdr.entries.len());
-    for e in &hdr.entries {
-        parts.push((e.id, section_payload(bytes, e)?.to_vec()));
-    }
-    Ok((hdr, parts))
-}
-
-/// Merges a base image and a delta image into the equivalent full image.
-///
-/// The merge is strict (layering is an offline packaging step, not a
-/// crash-recovery path): both images must be fully intact, and the
-/// delta's parent checksum must match the base. The result is
-/// byte-identical to the full image a direct save of the delta's state
-/// would have produced.
-///
-/// # Errors
-///
-/// [`RestoreError::ParentMismatch`] when the delta was built against a
-/// different base (or `base` is itself a delta); any decode error when
-/// either image is damaged.
-pub fn merge_images(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, RestoreError> {
-    let (base_hdr, base_parts) = strict_parts(base)?;
-    if base_hdr.flags & FLAG_DELTA != 0 {
-        return Err(RestoreError::ParentMismatch);
-    }
-    let (delta_hdr, delta_parts) = strict_parts(delta)?;
-    if delta_hdr.flags & FLAG_DELTA == 0 || delta_hdr.parent != fnv1a64(base) {
-        return Err(RestoreError::ParentMismatch);
-    }
-    let mut merged: Vec<(u32, Vec<u8>)> = base_parts;
-    for (id, payload) in delta_parts {
-        match merged.iter_mut().find(|(mid, _)| *mid == id) {
-            Some((_, p)) => *p = payload,
-            None => merged.push((id, payload)),
-        }
-    }
-    merged.sort_by_key(|(id, _)| *id);
-    Ok(encode_sections(0, 0, &merged))
-}
-
-/// Builds a delta image against `base`: only sections whose canonical
-/// payload differs from the base's are included, and the delta records
-/// the base's whole-image checksum as its parent.
-pub(crate) fn encode_delta(img: &WarmImage, base: &[u8]) -> Result<Vec<u8>, RestoreError> {
-    let (base_hdr, base_parts) = strict_parts(base)?;
-    if base_hdr.flags & FLAG_DELTA != 0 {
-        return Err(RestoreError::ParentMismatch);
-    }
-    let full = image_parts(img);
-    let changed: Vec<(u32, Vec<u8>)> = full
-        .into_iter()
-        .filter(|(id, payload)| {
-            base_parts
-                .iter()
-                .find(|(bid, _)| bid == id)
-                .is_none_or(|(_, bp)| bp != payload)
-        })
-        .collect();
-    Ok(encode_sections(FLAG_DELTA, fnv1a64(base), &changed))
 }
 
 /// Writes `bytes` to `path` crash-safely: the image lands in a
@@ -1186,6 +1087,17 @@ mod tests {
             decode_image(&img).unwrap_err(),
             RestoreError::UnsupportedVersion { found: 99 }
         );
+        // Either reserved word set (an old delta image's flag or parent).
+        for at in [12, 16] {
+            let mut img = tiny_image();
+            img[at] = 1;
+            assert_eq!(
+                decode_image(&img).unwrap_err(),
+                RestoreError::Malformed,
+                "byte {at}"
+            );
+            assert_eq!(image_summary(&img).unwrap_err(), RestoreError::Malformed);
+        }
     }
 
     #[test]
@@ -1222,7 +1134,6 @@ mod tests {
     fn summary_names_sections() {
         let s = image_summary(&tiny_image()).unwrap();
         assert_eq!(s.version, FORMAT_VERSION);
-        assert!(!s.delta);
         assert!(s.whole_ok);
         let names: Vec<&str> = s.sections.iter().map(|i| i.name()).collect();
         assert_eq!(names, vec!["meta", "sets"]);

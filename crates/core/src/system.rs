@@ -25,14 +25,14 @@ use cdvm_x86::{BranchKind, Cpu, Fault, Interp};
 use crate::error::{RestoreError, VmError, Watchdog};
 use crate::pcmap::{PcCounter, PcMap, PcSet};
 use crate::profile::{dispatch_slot, COUNTER_BASE, DISPATCH_BASE, DISPATCH_ENTRIES};
-use crate::recorder::{env_recorder_config, FlightRecorder, RecorderConfig, TelemetrySnapshot};
+use crate::recorder::{FlightRecorder, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use crate::sbt::translate_sbt;
 use crate::snapshot::{
     self, BlockRec, BlocksSection, CacheSection, ChainsSection, CodeGroup, CountersSection,
     CreditsSection, EdgesSection, MetaSection, SetsSection, TableSection, WarmImage,
 };
 use crate::vm::Translation;
-use crate::trace::{env_trace_capacity, Phase, TierKind, TraceBuffer, TraceEvent, NUM_PHASES};
+use crate::trace::{Phase, TierKind, TraceBuffer, TraceEvent, NUM_PHASES};
 use crate::vm::{TransKind, Vm};
 
 /// Default initial stack pointer for guest programs.
@@ -203,7 +203,7 @@ impl System {
         let kind = cfg.kind;
         let mut cpu = Cpu::at(entry);
         cpu.gpr[cdvm_x86::Gpr::Esp as usize] = DEFAULT_STACK_TOP;
-        let mut vm = match kind {
+        let vm = match kind {
             MachineKind::RefSuperscalar => None,
             MachineKind::VmFe => Some(Vm::new(
                 cfg.bbt_cache_bytes,
@@ -224,9 +224,6 @@ impl System {
                 true,
             )),
         };
-        if let (Some(vm), Some(cap)) = (vm.as_mut(), env_trace_capacity()) {
-            vm.trace.enable(cap);
-        }
         let bbb = (kind == MachineKind::VmFe).then(|| {
             Bbb::new(BbbConfig {
                 entries: 4096,
@@ -238,7 +235,7 @@ impl System {
         let sbt_base = vm
             .as_ref()
             .map_or(u32::MAX, |vm| vm.sbt_cache.config().base);
-        System {
+        let mut sys = System {
             kind,
             cfg,
             mem,
@@ -270,17 +267,24 @@ impl System {
             storm_consecutive: 0,
             cur_phase: Phase::Vmm,
             phase_mark: Cycles::ZERO,
-            recorder: env_recorder_config().map(|c| Box::new(FlightRecorder::new(c))),
+            recorder: None,
             stats: SystemStats::default(),
-        }
+        };
+        sys.set_telemetry(TelemetryConfig::from_env());
+        sys
     }
 
-    /// Enables the event trace with a ring of `capacity` events. No-op on
-    /// the reference machine (it has no VM, hence nothing to trace).
-    pub fn enable_trace(&mut self, capacity: usize) {
+    /// Arms, re-arms or disarms telemetry: each collector `cfg` names
+    /// starts empty, and each it leaves `None` is dropped with whatever
+    /// it recorded. The recorder works on every machine kind (the
+    /// reference machine still has IPC and phase telemetry); the trace
+    /// ring lives in the VM, so the reference machine never traces.
+    /// Observation-only: neither collector touches the modeled clock.
+    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
         if let Some(vm) = self.vm.as_mut() {
-            vm.trace.enable(capacity);
+            vm.trace.set(cfg.trace);
         }
+        self.recorder = cfg.recorder.map(|c| Box::new(FlightRecorder::new(c)));
     }
 
     /// The recorded event trace, when tracing is enabled.
@@ -288,54 +292,24 @@ impl System {
         self.vm.as_ref().and_then(|vm| vm.trace.buffer())
     }
 
-    /// Arms the startup flight recorder (replacing any recorder already
-    /// running). Works on every machine kind — the reference machine
-    /// still has IPC and phase telemetry, just no translation activity.
-    pub fn enable_recorder(&mut self, cfg: RecorderConfig) {
-        self.recorder = Some(Box::new(FlightRecorder::new(cfg)));
-    }
-
     /// The flight recorder, when telemetry is enabled.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_deref()
     }
 
-    /// Finalizes and detaches the flight recorder: records the
-    /// in-progress phase tail as a segment, closes the tail window,
-    /// forces the last log-spaced samples, and hands the recorder to the
-    /// caller for export. Telemetry stops after this call.
-    pub fn take_recorder(&mut self) -> Option<Box<FlightRecorder>> {
-        if self.recorder.is_some() {
-            let (phase, mark, now) = (self.cur_phase, self.phase_mark, self.timing.cycles_fp());
-            let snap = self.telemetry_snapshot();
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.phase_segment(phase, mark, now);
-                rec.finish(&snap);
-            }
+    /// Detaches both collectors for export; telemetry is off afterwards.
+    /// The recorder is finalized first: the in-progress phase tail
+    /// becomes a segment, the tail window closes and the last log-spaced
+    /// samples are forced. The trace ring moves out as it is.
+    pub fn take_telemetry(&mut self) -> Telemetry {
+        let mut recorder = self.recorder.take();
+        if let Some(rec) = recorder.as_mut() {
+            rec.phase_segment(self.cur_phase, self.phase_mark, self.timing.cycles_fp());
+            rec.finish(&self.telemetry_snapshot());
         }
-        self.recorder.take()
-    }
-
-    /// Arms full capture for a service checkout: starts a flight
-    /// recorder with the default configuration (unless one is already
-    /// running — e.g. armed via `CDVM_RECORDER`) and enables the event
-    /// trace with a ring of `trace_capacity` events. `cdvm-serve` calls
-    /// this when stamping an instance whose run should drill down into
-    /// per-instance startup telemetry. Observation-only: neither
-    /// collector affects the modeled clock.
-    pub fn arm_capture(&mut self, trace_capacity: usize) {
-        if self.recorder.is_none() {
-            self.recorder = Some(Box::new(FlightRecorder::new(RecorderConfig::default())));
-        }
-        self.enable_trace(trace_capacity);
-    }
-
-    /// Turns off every telemetry collector at once: drops the flight
-    /// recorder and discards the event trace.
-    pub fn disable_telemetry(&mut self) {
-        self.recorder = None;
-        if let Some(vm) = self.vm.as_mut() {
-            vm.trace.disable();
+        Telemetry {
+            trace: self.vm.as_mut().and_then(|vm| vm.trace.take()),
+            recorder,
         }
     }
 
@@ -1653,18 +1627,6 @@ impl System {
         snapshot::encode_image(&self.warm_image())
     }
 
-    /// Serializes the warm state as a delta against `base` (a full image
-    /// previously produced by [`System::snapshot_bytes`]): only sections
-    /// whose canonical payload changed are included.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::ParentMismatch`] when `base` is itself a delta;
-    /// any decode error when `base` is damaged.
-    pub fn snapshot_delta_bytes(&mut self, base: &[u8]) -> Result<Vec<u8>, RestoreError> {
-        snapshot::encode_delta(&self.warm_image(), base)
-    }
-
     /// Saves the warm image to `path` crash-safely (temp file + fsync +
     /// atomic rename).
     ///
@@ -1703,10 +1665,6 @@ impl System {
             Ok(img) => img,
             Err(e) => return self.restore_fail(e),
         };
-        if img.flags & snapshot::FLAG_DELTA != 0 {
-            // Deltas must be merged with their base first.
-            return self.restore_fail(RestoreError::ParentMismatch);
-        }
         // The meta section gates everything: without an intact machine
         // and workload fingerprint nothing in the image can be trusted
         // to match this system.
@@ -1850,9 +1808,6 @@ impl System {
                 dropped,
             });
         }
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.note_restore(applied, dropped, false);
-        }
         let error = if dropped > 0 || !img.whole_ok {
             first_bad
         } else {
@@ -1868,7 +1823,7 @@ impl System {
         }
     }
 
-    /// Records a total restore failure (trace, recorder, stats) and
+    /// Records a total restore failure (trace, stats) and
     /// returns the cold-boot outcome. The system state is untouched.
     fn restore_fail(&mut self, e: RestoreError) -> RestoreOutcome {
         self.stats.restore_failed += 1;
@@ -1876,9 +1831,6 @@ impl System {
         self.tick_trace();
         if let Some(vm) = self.vm.as_mut() {
             vm.trace.record(TraceEvent::RestoreFailed { error: e });
-        }
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.note_restore(0, 0, true);
         }
         RestoreOutcome {
             applied: 0,

@@ -199,20 +199,6 @@ pub enum TraceEvent {
         /// Address of the first uncrackable instruction.
         pc: u32,
     },
-    /// A harness- or service-level job ended in failure (panicked worker
-    /// closure, retries exhausted). Recorded by the batch harness and the
-    /// serve scheduler rather than by the VM itself; the free-form
-    /// failure message travels in the caller's failure record — the
-    /// event carries the identifying coordinates.
-    JobFailed {
-        /// Application name (the workload catalog uses `&'static` names).
-        app: &'static str,
-        /// Machine configuration the job was running.
-        machine: cdvm_uarch::MachineKind,
-        /// Attempts consumed when the job was declared failed (1 for the
-        /// batch harness, which never retries).
-        attempts: u32,
-    },
 }
 
 impl std::fmt::Display for TraceEvent {
@@ -269,13 +255,6 @@ impl std::fmt::Display for TraceEvent {
             TraceEvent::UncrackableInst { pc } => {
                 write!(f, "uncrackable    pc={pc:#010x}")
             }
-            TraceEvent::JobFailed {
-                app,
-                machine,
-                attempts,
-            } => {
-                write!(f, "job-failed     app={app} machine={machine} attempts={attempts}")
-            }
         }
     }
 }
@@ -295,7 +274,6 @@ impl TraceEvent {
             TraceEvent::RestoreApplied { .. } => "restore_applied",
             TraceEvent::RestoreFailed { .. } => "restore_failed",
             TraceEvent::UncrackableInst { .. } => "uncrackable_inst",
-            TraceEvent::JobFailed { .. } => "job_failed",
         }
     }
 }
@@ -320,7 +298,8 @@ pub struct TraceBuffer {
     recorded: u64,
 }
 
-/// Default ring capacity (events) when enabling via the environment.
+/// Default ring capacity (events): what `CDVM_TRACE=1` and
+/// `TelemetryConfig::full` arm.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 impl TraceBuffer {
@@ -411,15 +390,15 @@ impl Trace {
         Trace::default()
     }
 
-    /// Enables tracing with a ring of `capacity` events (idempotent; a
-    /// second call with a different capacity re-arms an empty ring).
-    pub fn enable(&mut self, capacity: usize) {
-        self.buf = Some(Box::new(TraceBuffer::new(capacity)));
+    /// Arms an empty ring of `capacity` events, or disarms tracing and
+    /// discards what was recorded when `capacity` is `None`.
+    pub fn set(&mut self, capacity: Option<usize>) {
+        self.buf = capacity.map(|cap| Box::new(TraceBuffer::new(cap)));
     }
 
-    /// Disables tracing and discards any recorded events.
-    pub fn disable(&mut self) {
-        self.buf = None;
+    /// Detaches the ring (tracing is off afterwards).
+    pub fn take(&mut self) -> Option<Box<TraceBuffer>> {
+        self.buf.take()
     }
 
     /// True when events are being recorded.
@@ -514,19 +493,6 @@ pub fn env_switch(var: &str, default: bool) -> bool {
     parse_switch(var, std::env::var(var).ok().as_deref(), default)
 }
 
-/// Ring capacity requested through the `CDVM_TRACE` environment variable:
-/// unset/`off` disables, `1`/`on` selects the default capacity, any
-/// other number is the capacity in events; `0` and garbage are rejected
-/// with a stderr message. Read once per process.
-pub fn env_trace_capacity() -> Option<usize> {
-    use std::sync::OnceLock;
-    static CAP: OnceLock<Option<usize>> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        let v = std::env::var("CDVM_TRACE").ok();
-        parse_enable_env("CDVM_TRACE", v.as_deref(), DEFAULT_TRACE_CAPACITY)
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
@@ -568,14 +534,18 @@ mod tests {
     #[test]
     fn enabled_trace_stamps_with_latest_tick() {
         let mut t = Trace::disabled();
-        t.enable(8);
+        t.set(Some(8));
         t.tick(42);
         t.record(ev(1));
         t.tick(99);
         t.record_with(|| ev(2));
-        let buf = t.buffer().unwrap();
+        let buf = t.take().unwrap();
         let stamps: Vec<u64> = buf.iter().map(|r| r.cycle).collect();
         assert_eq!(stamps, vec![42, 99]);
+        assert!(!t.is_enabled(), "taking the ring disarms tracing");
+        t.set(Some(8));
+        t.set(None);
+        assert!(t.buffer().is_none(), "set(None) disarms");
     }
 
     #[test]

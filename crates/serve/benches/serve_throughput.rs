@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use cdvm_bench::{banner, bench_check_enabled, write_baseline};
-use cdvm_serve::{JobSpec, JobState, ServeConfig, Service};
+use cdvm_serve::{JobSpec, JobState, PoolConfig, ServeConfig, Service};
 use cdvm_stats::{CycleHistogram, Metrics};
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::winstone2004;
@@ -55,7 +55,10 @@ fn run_lane(name: &'static str, warm_pool: bool) -> Lane {
         workers: WORKERS,
         scale: SERVE_SCALE,
         catalog: catalog.clone(),
-        warm_pool,
+        pool: PoolConfig {
+            warm: warm_pool,
+            ..PoolConfig::default()
+        },
         global_queue_cap: JOBS + 8,
         tenant_queue_cap: JOBS + 8,
         ..ServeConfig::default()

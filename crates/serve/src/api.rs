@@ -357,15 +357,14 @@ fn route(
             "text/plain; version=0.0.4",
             service.prometheus(),
         ),
-        ("POST", ["poison", "clear"]) => {
-            // `{"signature": "tenant/app/machine"}` clears one entry;
-            // an empty (or non-JSON) body clears them all.
-            let doc = flat_object(body);
-            let sig = doc.as_ref().and_then(|d| str_field(d, "signature"));
-            let mut m = Metrics::new();
-            m.set("cleared", service.clear_poison(sig) as u64);
-            Resp::json(200, "OK", &m)
-        }
+        ("POST", ["poison", "clear"]) => match poison_target(body) {
+            Ok(sig) => {
+                let mut m = Metrics::new();
+                m.set("cleared", service.clear_poison(sig.as_deref()) as u64);
+                Resp::json(200, "OK", &m)
+            }
+            Err(msg) => Resp::error(400, "Bad Request", msg),
+        },
         ("POST", ["drain"]) => match service.drain(persist_dir) {
             Ok(paths) => {
                 let mut m = Metrics::new();
@@ -395,6 +394,22 @@ fn job_spec(body: &str) -> Result<JobSpec, &'static str> {
     spec.deadline_insts = num_field(&doc, "deadline_insts");
     spec.deadline_ms = num_field(&doc, "deadline_ms");
     Ok(spec)
+}
+
+/// Reads a `POST /poison/clear` body: a string `signature`
+/// (`tenant/app/machine`) names the one entry to clear; an empty body or
+/// a flat object without `signature` clears them all. Anything else is
+/// the 400 message, and clears nothing.
+fn poison_target(body: &str) -> Result<Option<String>, &'static str> {
+    if body.trim().is_empty() {
+        return Ok(None);
+    }
+    let doc = flat_object(body).ok_or("body is not a flat JSON object")?;
+    match doc.get("signature") {
+        None => Ok(None),
+        Some(Json::Str(sig)) => Ok(Some(sig.clone())),
+        Some(_) => Err("\"signature\" must be a string"),
+    }
 }
 
 fn post_job(service: &Service, body: &str) -> Resp {
@@ -475,6 +490,7 @@ fn get_job(service: &Service, id: u64, wait_ms: Option<u64>) -> Resp {
 mod tests {
     use super::*;
 
+    use crate::pool::PoolConfig;
     use crate::service::ServeConfig;
 
     /// A service with an empty catalog: a well-formed job body gets 404
@@ -483,19 +499,27 @@ mod tests {
     fn service() -> Service {
         Service::start(ServeConfig {
             workers: 1,
-            warm_pool: false,
+            pool: PoolConfig {
+                warm: false,
+                ..PoolConfig::default()
+            },
             ..ServeConfig::default()
         })
     }
 
-    /// `POST /jobs` through the router: status and error message.
-    fn post(svc: &Service, body: &str) -> (u16, String) {
-        let r = route(svc, "POST", "/jobs", "", body, None);
+    /// A `POST` through the router: status and error message.
+    fn post_to(svc: &Service, path: &str, body: &str) -> (u16, String) {
+        let r = route(svc, "POST", path, "", body, None);
         let doc = Parser::parse(&r.body);
         (
             r.status,
             doc.get("error").map_or("", Json::as_str).to_string(),
         )
+    }
+
+    /// `POST /jobs` through the router: status and error message.
+    fn post(svc: &Service, body: &str) -> (u16, String) {
+        post_to(svc, "/jobs", body)
     }
 
     #[test]
@@ -539,6 +563,48 @@ mod tests {
             );
         }
         assert_eq!(post(&svc, "{}"), (400, "missing \"app\"".to_string()));
+    }
+
+    #[test]
+    fn poison_clear_takes_a_string_signature_or_nothing() {
+        assert_eq!(poison_target(""), Ok(None));
+        assert_eq!(poison_target(" \r\n"), Ok(None));
+        assert_eq!(poison_target("{}"), Ok(None));
+        assert_eq!(poison_target(r#"{"note": "all"}"#), Ok(None));
+        assert_eq!(
+            poison_target(r#"{"signature": "t/Word/VmSoft"}"#),
+            Ok(Some("t/Word/VmSoft".to_string()))
+        );
+        let svc = service();
+        for body in ["", "{}", r#"{"signature": "t/Word/VmSoft"}"#] {
+            assert_eq!(
+                post_to(&svc, "/poison/clear", body),
+                (200, String::new()),
+                "{body:?}"
+            );
+        }
+        let not_flat = "body is not a flat JSON object".to_string();
+        for body in [
+            "garbage",
+            "[1]",
+            "[[[",
+            "{\"signature\": {\"a\": 1}}",
+            "null",
+            "\"t/Word\"",
+        ] {
+            assert_eq!(
+                post_to(&svc, "/poison/clear", body),
+                (400, not_flat.clone()),
+                "{body:?}"
+            );
+        }
+        for body in [r#"{"signature": 5}"#, r#"{"signature": true}"#] {
+            assert_eq!(
+                post_to(&svc, "/poison/clear", body),
+                (400, "\"signature\" must be a string".to_string()),
+                "{body:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,19 +25,14 @@ use cdvm_serve::{ServeConfig, Service};
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::winstone2004;
 
+/// The command line: the service settings, parsed over
+/// [`ServeConfig::default`], plus what only the binary needs.
 struct Args {
+    cfg: ServeConfig,
     port: u16,
-    workers: usize,
-    scale: f64,
-    warm: bool,
-    prestamp: usize,
-    global_cap: usize,
-    tenant_cap: usize,
     persist_dir: Option<PathBuf>,
     machines: Vec<MachineKind>,
     apps: Option<Vec<String>>,
-    spans: bool,
-    capture: bool,
 }
 
 fn usage() -> ! {
@@ -51,14 +46,12 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Args {
+    let mut cfg = ServeConfig::default();
+    cfg.spans = cdvm_core::trace::env_switch("CDVM_SPANS", cfg.spans);
+    cfg.pool.capture = cdvm_core::trace::env_switch("CDVM_CAPTURE", cfg.pool.capture);
     let mut args = Args {
+        cfg,
         port: 7199,
-        workers: 4,
-        scale: 0.05,
-        warm: true,
-        prestamp: 1,
-        global_cap: 64,
-        tenant_cap: 16,
         persist_dir: None,
         machines: vec![
             MachineKind::VmSoft,
@@ -67,8 +60,6 @@ fn parse_args() -> Args {
             MachineKind::VmInterp,
         ],
         apps: None,
-        spans: cdvm_core::trace::env_switch("CDVM_SPANS", true),
-        capture: cdvm_core::trace::env_switch("CDVM_CAPTURE", false),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -78,12 +69,18 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--port" => args.port = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--scale" => args.scale = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--cold" => args.warm = false,
-            "--prestamp" => args.prestamp = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--global-cap" => args.global_cap = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--tenant-cap" => args.tenant_cap = val(&mut it).parse().unwrap_or_else(|_| usage()),
+            "--workers" => args.cfg.workers = val(&mut it).parse().unwrap_or_else(|_| usage()),
+            "--scale" => args.cfg.scale = val(&mut it).parse().unwrap_or_else(|_| usage()),
+            "--cold" => args.cfg.pool.warm = false,
+            "--prestamp" => {
+                args.cfg.pool.prestamp = val(&mut it).parse().unwrap_or_else(|_| usage());
+            }
+            "--global-cap" => {
+                args.cfg.global_queue_cap = val(&mut it).parse().unwrap_or_else(|_| usage());
+            }
+            "--tenant-cap" => {
+                args.cfg.tenant_queue_cap = val(&mut it).parse().unwrap_or_else(|_| usage());
+            }
             "--persist-dir" => args.persist_dir = Some(PathBuf::from(val(&mut it))),
             "--machines" => {
                 args.machines = val(&mut it)
@@ -94,8 +91,8 @@ fn parse_args() -> Args {
             "--apps" => {
                 args.apps = Some(val(&mut it).split(',').map(str::to_string).collect());
             }
-            "--capture" => args.capture = true,
-            "--no-spans" => args.spans = false,
+            "--capture" => args.cfg.pool.capture = true,
+            "--no-spans" => args.cfg.spans = false,
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -104,9 +101,9 @@ fn parse_args() -> Args {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = parse_args();
     let profiles = winstone2004();
-    let mut catalog = Vec::new();
+    let catalog = &mut args.cfg.catalog;
     for kind in &args.machines {
         for p in &profiles {
             if args
@@ -125,21 +122,10 @@ fn main() {
     eprintln!(
         "cdvm-serve: preparing {} golden images (scale {}, {}) ...",
         catalog.len(),
-        args.scale,
-        if args.warm { "warm" } else { "cold" }
+        args.cfg.scale,
+        if args.cfg.pool.warm { "warm" } else { "cold" }
     );
-    let service = Arc::new(Service::start(ServeConfig {
-        workers: args.workers,
-        scale: args.scale,
-        catalog,
-        warm_pool: args.warm,
-        prestamp: args.prestamp,
-        global_queue_cap: args.global_cap,
-        tenant_queue_cap: args.tenant_cap,
-        spans: args.spans,
-        capture: args.capture,
-        ..ServeConfig::default()
-    }));
+    let service = Arc::new(Service::start(args.cfg));
     let server = match ApiServer::bind(Arc::clone(&service), args.port, args.persist_dir) {
         Ok(s) => s,
         Err(e) => {

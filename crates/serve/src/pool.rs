@@ -19,7 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cdvm_core::{write_image_atomic, FaultInjector, ImageFault, ImageFaultReport, Status, System};
+use cdvm_core::{
+    write_image_atomic, FaultInjector, ImageFault, ImageFaultReport, Status, System,
+    TelemetryConfig,
+};
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app_run, AppProfile, Workload};
 
@@ -361,7 +364,10 @@ fn stamp(g: &mut Golden, cfg: &PoolConfig) -> (System, StampInfo) {
     let mut sys = System::with_config(MachineConfig::preset(g.kind), g.wl.mem.clone(), g.wl.entry);
     if cfg.capture {
         // Armed before the restore so restore events land in the trace.
-        sys.arm_capture(CAPTURE_TRACE_EVENTS);
+        sys.set_telemetry(TelemetryConfig {
+            trace: Some(CAPTURE_TRACE_EVENTS),
+            ..TelemetryConfig::full()
+        });
     }
     if !cfg.warm || g.image.is_empty() {
         g.health.cold_stamps += 1;

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cdvm_core::{fnv1a64, render_chrome_at, Status, Watchdog};
+use cdvm_core::{fnv1a64, render_chrome, Status, Watchdog};
 use cdvm_mem::Rng64;
 use cdvm_stats::PromKind::{self, Counter, Gauge};
 use cdvm_stats::{ChromeTrace, MetricValue, Metrics, PromText};
@@ -58,10 +58,11 @@ pub struct ServeConfig {
     pub scale: f64,
     /// Served `(machine, app)` catalog.
     pub catalog: Vec<(MachineKind, AppProfile)>,
-    /// Prepare warm images and stamp from them (false = cold lane).
-    pub warm_pool: bool,
-    /// Pre-stamped ready instances per golden image.
-    pub prestamp: usize,
+    /// Warm pool: warm or cold lane, pre-stamped instances, the image
+    /// circuit breaker, and VM telemetry capture on stamped instances
+    /// (which lets `GET /jobs/<id>/trace` merge an instance's startup
+    /// telemetry under the job's service spans).
+    pub pool: PoolConfig,
     /// Service-wide bound on admitted-but-not-terminal jobs.
     pub global_queue_cap: usize,
     /// Per-tenant bound on admitted-but-not-terminal jobs.
@@ -72,10 +73,6 @@ pub struct ServeConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling.
     pub backoff_cap_ms: u64,
-    /// Consecutive bad restores that quarantine an image.
-    pub breaker_threshold: u32,
-    /// Cold stamps before a quarantined image gets a half-open probe.
-    pub breaker_cooldown: u32,
     /// How long a poisoned job signature fails fast before the next
     /// same-signature job is let through as a half-open probe (mirrors
     /// the image circuit breaker; a clean probe un-poisons, a fresh
@@ -91,11 +88,6 @@ pub struct ServeConfig {
     /// clock; disarming exists for the neutrality check, not for
     /// performance.
     pub spans: bool,
-    /// Arm the VM flight recorder + event trace on stamped instances so
-    /// `GET /jobs/<id>/trace` can merge the instance's startup
-    /// telemetry under the job's service spans (one Perfetto file,
-    /// service rows stacked above VM tracks).
-    pub capture: bool,
     /// SLO objective registry configuration (windows, burn thresholds,
     /// targets).
     pub slo: SloConfig,
@@ -109,19 +101,15 @@ impl Default for ServeConfig {
             workers: 4,
             scale: 0.05,
             catalog: Vec::new(),
-            warm_pool: true,
-            prestamp: 1,
+            pool: PoolConfig::default(),
             global_queue_cap: 64,
             tenant_queue_cap: 16,
             max_attempts: 3,
             backoff_base_ms: 2,
             backoff_cap_ms: 50,
-            breaker_threshold: 3,
-            breaker_cooldown: 4,
             poison_ttl_ms: 30_000,
             terminal_retention: 4096,
             spans: true,
-            capture: false,
             slo: SloConfig::default(),
             seed: 0x5eed_5e12_7e00_0001,
         }
@@ -360,17 +348,7 @@ impl Service {
     /// Prepares the warm pool for the configured catalog and starts the
     /// worker fleet.
     pub fn start(cfg: ServeConfig) -> Service {
-        let pool = WarmPool::prepare(
-            &cfg.catalog,
-            cfg.scale,
-            PoolConfig {
-                warm: cfg.warm_pool,
-                prestamp: cfg.prestamp,
-                breaker_threshold: cfg.breaker_threshold,
-                breaker_cooldown: cfg.breaker_cooldown,
-                capture: cfg.capture,
-            },
-        );
+        let pool = WarmPool::prepare(&cfg.catalog, cfg.scale, cfg.pool.clone());
         let workers = cfg.workers.max(1);
         let seed = cfg.seed;
         let slo = SloEngine::new(cfg.slo.clone());
@@ -1036,7 +1014,7 @@ fn run_attempt(
         return RunResult::Failed(format!("pool lost entry {}/{}", spec.machine, spec.app));
     };
     let warm = info.warm;
-    if inner.cfg.warm_pool {
+    if inner.cfg.pool.warm {
         lock(&inner.slo).record(SloKind::WarmStamp, warm == WarmLevel::Warm);
     }
     let stamp_end = Instant::now();
@@ -1090,27 +1068,21 @@ fn run_attempt(
                 arch.extend_from_slice(&sys.x86_retired().to_le_bytes());
                 let trace_dropped = sys.trace().map(|t| t.dropped()).unwrap_or(0);
                 let uncrackable = sys.stats.uncrackable_insts;
-                let vm_trace = if inner.cfg.capture {
+                let vm_trace = inner.cfg.pool.capture.then(|| {
                     // Shift the VM tracks (modeled µs) onto the job's
                     // service timeline at its stamp point, so the
                     // instance's startup telemetry sits under the
                     // service spans in one merged Perfetto document.
-                    let trace = sys.trace().cloned();
-                    sys.take_recorder().map(|rec| {
-                        let mut ct = ChromeTrace::new();
-                        render_chrome_at(
-                            &mut ct,
-                            2,
-                            &format!("vm {}/{} job {id}", spec.machine, spec.app),
-                            ns_since(inner.epoch, start) as f64 / 1000.0,
-                            &rec,
-                            trace.as_ref(),
-                        );
-                        ct
-                    })
-                } else {
-                    None
-                };
+                    let mut ct = ChromeTrace::new();
+                    render_chrome(
+                        &mut ct,
+                        2,
+                        &format!("vm {}/{} job {id}", spec.machine, spec.app),
+                        ns_since(inner.epoch, start) as f64 / 1000.0,
+                        &sys.take_telemetry(),
+                    );
+                    ct
+                });
                 return RunResult::Done(Box::new(RunDone {
                     cycles: sys.cycles(),
                     x86_retired: sys.x86_retired(),

@@ -60,6 +60,21 @@ fn hostile_bodies_get_400_and_the_service_keeps_serving() {
     let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");
     let addr = server.addr();
 
+    // A deterministic crasher poisons its signature, so a hostile body
+    // that cleared the poison table would show.
+    let mut crasher = JobSpec::new("crasher", "Word", MachineKind::VmSoft);
+    crasher.chaos_panic_attempts = u32::MAX;
+    let id = svc.submit(crasher).expect("admitted");
+    let state = svc.wait(id, Duration::from_secs(120)).expect("known job");
+    assert!(matches!(state, JobState::Failed { .. }), "{state:?}");
+    let poisoned = || {
+        let (_, health) = request(addr, "GET", "/healthz", "");
+        Parser::parse(&health)
+            .get("poison_entries")
+            .map(Json::as_num)
+    };
+    assert_eq!(poisoned(), Some(1.0));
+
     // Both nest 100,000 deep in well under the 1 MiB body cap: a reader
     // that recursed without a bound would overflow the connection
     // thread's stack and abort the whole process.
@@ -72,10 +87,11 @@ fn hostile_bodies_get_400_and_the_service_keeps_serving() {
             .get("error")
             .map(|e| e.as_str().to_string());
         assert_eq!(error.as_deref(), Some("body is not a flat JSON object"));
-        // The other body-reading route treats a non-JSON body as "clear
-        // everything" and must survive it too.
+        // The other body-reading route refuses it too, and clears
+        // nothing.
         let (status, reply) = request(addr, "POST", "/poison/clear", body);
-        assert_eq!(status, 200, "{reply}");
+        assert_eq!(status, 400, "{reply}");
+        assert_eq!(poisoned(), Some(1.0), "a refused body clears nothing");
     }
 
     let (status, reply) = request(

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use cdvm_stats::json::Parser;
 use cdvm_serve::api::ApiServer;
-use cdvm_serve::{JobSpec, JobState, ServeConfig, Service};
+use cdvm_serve::{JobSpec, JobState, PoolConfig, ServeConfig, Service};
 use cdvm_stats::{parse_exposition, MetricValue, Metrics, PromKind};
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::winstone2004;
@@ -265,7 +265,10 @@ fn prometheus_exposition_parses_and_covers_the_fleet() {
 #[test]
 fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
     let svc = Service::start(ServeConfig {
-        capture: true,
+        pool: PoolConfig {
+            capture: true,
+            ..PoolConfig::default()
+        },
         ..config(&["Word"])
     });
     let (id, out) = complete(&svc, JobSpec::new("acme", "Word", MachineKind::VmSoft));
@@ -276,6 +279,8 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
     assert!(!events.is_empty());
 
     let mut stamp_ts = None;
+    let mut stamp_end = f64::INFINITY;
+    let mut restore_ts = None;
     let mut vm_min_ts = f64::INFINITY;
     let mut saw_vm_process = false;
     let mut saw_service_run = false;
@@ -292,6 +297,12 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
         let ts = ev.get("ts").expect("ts").as_num();
         if pid == 1.0 && name == "stamp" {
             stamp_ts = Some(ts);
+            if let Some(dur) = ev.get("dur") {
+                stamp_end = ts + dur.as_num();
+            }
+        }
+        if pid == 2.0 && name == "restore_applied" {
+            restore_ts = Some(ts);
         }
         if pid == 1.0 && name == "run" && ph == "X" {
             saw_service_run = true;
@@ -315,6 +326,13 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
         vm_min_ts >= stamp_ts - 1e-6,
         "VM tracks are offset onto the service timeline at the job's \
          stamp point (vm {vm_min_ts} < stamp {stamp_ts})"
+    );
+    // Capture is armed before the golden-image restore, so the restore
+    // lands on the VM's event track under the stamp span that paid for it.
+    let restore_ts = restore_ts.expect("restore event on the VM track");
+    assert!(
+        restore_ts >= stamp_ts - 1e-6 && restore_ts <= stamp_end + 1e-6,
+        "restore at {restore_ts} outside the stamp span [{stamp_ts}, {stamp_end}]"
     );
 }
 
@@ -382,7 +400,10 @@ fn http(addr: std::net::SocketAddr, req: &str) -> (String, String) {
 #[test]
 fn api_serves_metrics_spans_trace_and_event_cursors() {
     let svc = Arc::new(Service::start(ServeConfig {
-        capture: true,
+        pool: PoolConfig {
+            capture: true,
+            ..PoolConfig::default()
+        },
         ..config(&["Word"])
     }));
     let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");

@@ -20,8 +20,8 @@ use std::time::Duration;
 use cdvm_bench::run_jobs;
 use cdvm_core::{FaultInjector, ImageFault};
 use cdvm_serve::{
-    JobSpec, JobState, OverloadScope, ServeConfig, ServeError, Service, SloConfig, SloKind,
-    SloState, WarmLevel,
+    JobSpec, JobState, OverloadScope, PoolConfig, ServeConfig, ServeError, Service, SloConfig,
+    SloKind, SloState, WarmLevel,
 };
 use cdvm_stats::MetricValue;
 use cdvm_uarch::MachineKind;
@@ -139,7 +139,10 @@ fn warm_and_cold_service_match_batch_results() {
     // Cold lane: no warm pool — results must be bit-identical to the
     // batch harness in both cycles and retired instructions.
     let cold = Service::start(ServeConfig {
-        warm_pool: false,
+        pool: PoolConfig {
+            warm: false,
+            ..PoolConfig::default()
+        },
         ..config(&machines, &apps)
     });
     let mut cold_fnv = HashMap::new();
@@ -356,9 +359,12 @@ fn corrupted_images_serve_cold_then_recover() {
     let (_, retired) = truth[&(MachineKind::VmSoft, "Word".to_string())];
     let svc = Service::start(ServeConfig {
         workers: 1,
-        prestamp: 0,
-        breaker_threshold: 2,
-        breaker_cooldown: 2,
+        pool: PoolConfig {
+            prestamp: 0,
+            breaker_threshold: 2,
+            breaker_cooldown: 2,
+            ..PoolConfig::default()
+        },
         slo: test_slo(),
         ..config(&machines, &apps)
     });

@@ -12,8 +12,8 @@
 //! flights as `target/figures/context_switch.series.json` /
 //! `.trace.json`.
 
-use cdvm_bench::{arm_telemetry, capture_flight, emit_telemetry_captures, FlightCapture};
-use cdvm_core::{Status, System};
+use cdvm_bench::{emit_telemetry, time_to_steady};
+use cdvm_core::{Status, System, Telemetry, TelemetryConfig};
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::{build_app, winstone2004};
 
@@ -40,19 +40,9 @@ fn run(profile_idx: usize, scale: f64, total: u64, disrupt: Option<bool>) -> (u6
     (mid, sys.cycles())
 }
 
-/// Cycle count at the end of the first recorder window whose IPC reaches
-/// 90% of the run's final aggregate IPC — where the startup transient ends.
-fn time_to_steady(cap: &FlightCapture) -> u64 {
-    let ws = cap.recorder().windows();
-    let total_insts: u64 = ws.iter().map(|w| w.dinsts).sum();
-    let total_cycles: f64 = ws.iter().map(|w| w.dcycles.to_f64()).sum();
-    let final_ipc = total_insts as f64 / total_cycles.max(1.0);
-    for w in ws {
-        if w.dcycles.raw() > 0 && (w.dinsts as f64 / w.dcycles.to_f64()) >= 0.9 * final_ipc {
-            return w.end_cycles;
-        }
-    }
-    ws.last().map_or(0, |w| w.end_cycles)
+/// Where a restart's startup transient ends (see [`time_to_steady`]).
+fn steady_point(t: &Telemetry) -> u64 {
+    time_to_steady(t.recorder.as_deref().expect("telemetry armed"))
 }
 
 /// The restart ablation: first invocation crashes at mid-run; its warm
@@ -73,16 +63,16 @@ fn restart_ablation(profile_idx: usize, scale: f64, total: u64, export: bool) {
     // Restart cold: every translation is rebuilt from scratch.
     let wl = build_app(profile, scale);
     let mut cold = System::new(MachineKind::VmSoft, wl.mem, wl.entry);
-    arm_telemetry(&mut cold);
+    cold.set_telemetry(TelemetryConfig::full());
     assert_eq!(cold.run_to_completion(u64::MAX), Status::Halted);
     let cold_cycles = cold.cycles();
     let retired = cold.x86_retired();
-    let cold_cap = capture_flight("restart-cold/VM.soft", &mut cold).expect("telemetry armed");
+    let cold_flight = cold.take_telemetry();
 
     // Restart warm: resumed from the image.
     let wl = build_app(profile, scale);
     let mut warm = System::new(MachineKind::VmSoft, wl.mem, wl.entry);
-    arm_telemetry(&mut warm);
+    warm.set_telemetry(TelemetryConfig::full());
     let outcome = warm.restore_image_bytes(&image);
     assert!(
         !outcome.is_cold_boot() && !outcome.is_degraded(),
@@ -91,10 +81,10 @@ fn restart_ablation(profile_idx: usize, scale: f64, total: u64, export: bool) {
     assert_eq!(warm.run_to_completion(u64::MAX), Status::Halted);
     assert_eq!(warm.x86_retired(), retired, "restart must not change guest semantics");
     let warm_cycles = warm.cycles();
-    let warm_cap = capture_flight("restart-warm/VM.soft", &mut warm).expect("telemetry armed");
+    let warm_flight = warm.take_telemetry();
 
-    let cold_steady = time_to_steady(&cold_cap);
-    let warm_steady = time_to_steady(&warm_cap);
+    let cold_steady = steady_point(&cold_flight);
+    let warm_steady = steady_point(&warm_flight);
     println!("\ncrash at mid-run, then restart (warm image saved before the crash):\n");
     println!(
         "  cold restart:   {cold_cycles:>12} cycles total, steady IPC at {cold_steady:>10} cycles"
@@ -114,7 +104,13 @@ fn restart_ablation(profile_idx: usize, scale: f64, total: u64, export: bool) {
     assert!(warm_cycles <= cold_cycles, "a warm restart can never cost extra cycles");
 
     if export {
-        emit_telemetry_captures("context_switch", &[cold_cap, warm_cap]);
+        emit_telemetry(
+            "context_switch",
+            [
+                ("restart-cold/VM.soft", &cold_flight),
+                ("restart-warm/VM.soft", &warm_flight),
+            ],
+        );
     }
 }
 

@@ -6,9 +6,9 @@
 //! the flight recorder, print its histogram summaries, and dump
 //! `target/figures/diag.series.json` + `diag.trace.json` (the latter
 //! loads in <https://ui.perfetto.dev>).
-use cdvm_bench::{arm_telemetry, capture_flight, emit_telemetry_captures};
+use cdvm_bench::emit_telemetry;
 use cdvm_core::vm::TransKind;
-use cdvm_core::{Phase, Status, System};
+use cdvm_core::{Phase, Status, System, TelemetryConfig};
 use cdvm_uarch::{CycleCat, MachineKind};
 use cdvm_workloads::{build_app_run, winstone2004};
 
@@ -93,11 +93,14 @@ fn main() {
         let mut cfg = cdvm_uarch::MachineConfig::preset(kind);
         cfg.hot_threshold = thr;
         let mut sys = System::with_config(cfg, wl.mem, wl.entry);
-        if trace {
-            sys.enable_trace(cdvm_core::trace::DEFAULT_TRACE_CAPACITY);
-        }
-        if export {
-            arm_telemetry(&mut sys);
+        if trace || export {
+            // `--trace` prints the event ring; the exports also need the
+            // flight recorder.
+            let full = TelemetryConfig::full();
+            sys.set_telemetry(TelemetryConfig {
+                recorder: full.recorder.filter(|_| export),
+                ..full
+            });
         }
         let st = sys.run_to_completion(u64::MAX);
         assert_eq!(st, Status::Halted);
@@ -123,9 +126,7 @@ fn main() {
         }
         if export {
             print_recorder(&sys);
-            if let Some(f) = capture_flight(&format!("{kind}/{}", profile.name), &mut sys) {
-                flights.push(f);
-            }
+            flights.push((format!("{kind}/{}", profile.name), sys.take_telemetry()));
         }
         // tail IPC over second half
         let wl2 = build_app_run(profile, scale, lmult);
@@ -138,6 +139,6 @@ fn main() {
         println!("   tail ipc: {:.3}", (sys2.x86_retired() - i0) as f64 / (sys2.cycles() - c0) as f64);
     }
     if export {
-        emit_telemetry_captures("diag", &flights);
+        emit_telemetry("diag", flights.iter().map(|(label, t)| (label, t)));
     }
 }

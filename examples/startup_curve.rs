@@ -22,8 +22,8 @@
 //! run — restore salvages what it can or falls back to a cold boot and
 //! says so.
 
-use cdvm_bench::{arm_telemetry, capture_flight, emit_telemetry_captures};
-use cdvm_core::{Status, System};
+use cdvm_bench::emit_telemetry;
+use cdvm_core::{FlightRecorder, Status, System, Telemetry, TelemetryConfig};
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::{build_app, winstone2004};
 
@@ -37,6 +37,11 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let value = args.remove(at + 1);
     args.remove(at);
     Some(value)
+}
+
+/// The flight recorder every run below arms.
+fn recorder(t: &Telemetry) -> &FlightRecorder {
+    t.recorder.as_deref().expect("telemetry armed")
 }
 
 fn main() {
@@ -70,7 +75,7 @@ fn main() {
     ] {
         let wl = build_app(profile, scale);
         let mut sys = System::new(kind, wl.mem, wl.entry);
-        arm_telemetry(&mut sys);
+        sys.set_telemetry(TelemetryConfig::full());
         loop {
             // The flight recorder samples the cumulative-instruction
             // curve at every slice boundary; no manual sampler needed.
@@ -94,16 +99,14 @@ fn main() {
                 }
             }
         }
-        let cap = capture_flight(&format!("{kind}/{}", profile.name), &mut sys)
-            .expect("telemetry armed above");
-        flights.push((kind, cap));
+        flights.push((format!("{kind}/{}", profile.name), sys.take_telemetry()));
     }
 
     // Warm-restore leg: VM.soft again, resumed from a saved image.
     let warm_flight = resume_path.as_deref().map(|path| {
         let wl = build_app(profile, scale);
         let mut sys = System::new(MachineKind::VmSoft, wl.mem, wl.entry);
-        arm_telemetry(&mut sys);
+        sys.set_telemetry(TelemetryConfig::full());
         let outcome = sys.restore_image_bytes(&std::fs::read(path).unwrap_or_default());
         match (outcome.is_cold_boot(), outcome.error) {
             (false, None) => println!("VM.soft (warm)     restored {} sections from {path}", outcome.applied),
@@ -123,13 +126,15 @@ fn main() {
             sys.cycles(),
             sys.x86_retired()
         );
-        capture_flight(&format!("VM.soft-warm/{}", profile.name), &mut sys)
-            .expect("telemetry armed above")
+        (
+            format!("VM.soft-warm/{}", profile.name),
+            sys.take_telemetry(),
+        )
     });
 
     // Print the aggregate-IPC table at log-spaced points, normalized to
     // the reference's final aggregate IPC.
-    let reference = flights[0].1.recorder();
+    let reference = recorder(&flights[0].1);
     let norm = reference
         .instr_samples()
         .last()
@@ -141,14 +146,14 @@ fn main() {
     );
     let end = flights
         .iter()
-        .filter_map(|(_, c)| c.recorder().instr_samples().last().map(|p| p.cycles))
+        .filter_map(|(_, t)| recorder(t).instr_samples().last().map(|p| p.cycles))
         .max()
         .unwrap_or(1000);
     let mut c = 1000u64;
     while c <= end {
         print!("{c:>12}");
-        for (_, cap) in &flights {
-            let rec = cap.recorder();
+        for (_, t) in &flights {
+            let rec = recorder(t);
             let last = rec.instr_samples().last().map_or(0, |p| p.cycles);
             let probe = c.min(last);
             let v = rec.instr_value_at(probe).unwrap_or(0.0);
@@ -161,9 +166,9 @@ fn main() {
 
     // Cold-vs-warm delta table: what the image bought during startup.
     if let Some(warm) = &warm_flight {
-        let cold = flights[1].1.recorder();
-        let wrec = warm.recorder();
-        let ipc_at = |rec: &cdvm_core::FlightRecorder, c: u64| -> f64 {
+        let cold = recorder(&flights[1].1);
+        let wrec = recorder(&warm.1);
+        let ipc_at = |rec: &FlightRecorder, c: u64| -> f64 {
             let last = rec.instr_samples().last().map_or(0, |p| p.cycles);
             let probe = c.min(last);
             rec.instr_value_at(probe).unwrap_or(0.0) / probe.max(1) as f64
@@ -194,8 +199,7 @@ fn main() {
     }
 
     if export {
-        let mut caps: Vec<_> = flights.into_iter().map(|(_, c)| c).collect();
-        caps.extend(warm_flight);
-        emit_telemetry_captures("startup_curve", &caps);
+        flights.extend(warm_flight);
+        emit_telemetry("startup_curve", flights.iter().map(|(label, t)| (label, t)));
     }
 }

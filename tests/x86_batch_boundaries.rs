@@ -14,7 +14,7 @@
 
 #![allow(clippy::unwrap_used, clippy::panic)]
 
-use cdvm_core::{Status, System, Watchdog};
+use cdvm_core::{Status, System, TelemetryConfig, Watchdog};
 use cdvm_mem::GuestMem;
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_x86::{AluOp, Asm, Cond, Gpr, MemRef, Width};
@@ -92,7 +92,7 @@ fn fresh(cfg: &MachineConfig, mem: &GuestMem, entry: u32) -> System {
     // CI arms CDVM_TRACE/CDVM_RECORDER for some suites; the comparison
     // here is about modeled state, and slicing granularity legitimately
     // changes recorder poll points — keep both arms telemetry-free.
-    sys.disable_telemetry();
+    sys.set_telemetry(TelemetryConfig::default());
     sys
 }
 
