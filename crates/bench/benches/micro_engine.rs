@@ -13,18 +13,17 @@
 //! downward after engine speedups with `CDVM_BENCH_WRITE_BASELINE=1` so
 //! the gate tracks the best measured state, never a stale slower one;
 //! the margin covers observed ~10% run-to-run noise on shared CI hosts,
-//! nothing more). Gated runs also append one record per commit to the
-//! repo-root `BENCH_history.jsonl`, the long-term series CI archives.
+//! nothing more). CI archives the metrics file of each gated run as the
+//! per-commit engine-speed series.
 
 #![allow(clippy::unwrap_used, clippy::panic)]
 use std::time::Instant;
 
+use cdvm_bench::testjson::Json;
 use cdvm_bench::{
-    append_bench_history, banner, bench_check_enabled, emit_metrics_with, read_baseline,
-    write_artifact, write_baseline,
+    banner, bench_check_enabled, emit_metrics_with, read_baseline, write_artifact, write_baseline,
 };
 use cdvm_core::{Status, System};
-use cdvm_stats::json::Json;
 use cdvm_stats::Metrics;
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app_run, winstone2004};
@@ -75,26 +74,15 @@ fn main() {
         MICRO_SCALE,
     );
 
-    // MICRO_LANES=interp_sbt,bbt_sbt runs a subset (profiling one lane in
-    // isolation, quicker CI smoke runs). Default: all lanes.
-    let lane_filter = std::env::var("MICRO_LANES").ok();
-    let want = |name: &str| {
-        lane_filter
-            .as_deref()
-            .is_none_or(|f| f.split(',').any(|l| l.trim() == name))
-    };
-    let all: [(&'static str, MachineKind, usize); 4] = [
+    let lanes: Vec<Lane> = [
         ("ref_superscalar", MachineKind::RefSuperscalar, 0),
         ("interp_sbt", MachineKind::VmInterp, 0),
         ("bbt_sbt", MachineKind::VmSoft, 0),
         ("bbt_sbt_big_footprint", MachineKind::VmSoft, 3),
-    ];
-    let lanes: Vec<Lane> = all
-        .into_iter()
-        .filter(|(name, _, _)| want(name))
-        .map(|(name, kind, idx)| run_lane(name, kind, idx))
-        .collect();
-    assert!(!lanes.is_empty(), "MICRO_LANES matched no lane");
+    ]
+    .into_iter()
+    .map(|(name, kind, idx)| run_lane(name, kind, idx))
+    .collect();
 
     // Aggregate: total host time over total guest instructions, i.e. the
     // instruction-weighted mean the startup figures actually pay for.
@@ -131,12 +119,6 @@ fn main() {
     summary.set("ns_per_inst_aggregate", aggregate);
     emit_metrics_with("micro_engine", MICRO_SCALE, runs, summary);
 
-    if lane_filter.is_some() {
-        // Partial runs have a different aggregate mix; never compare or
-        // overwrite the all-lane baseline from one.
-        println!("[baseline] skipped (MICRO_LANES subset run)");
-        return;
-    }
     let r4 = |x: f64| (x * 1e4).round() / 1e4;
     let mut baseline = Metrics::new();
     baseline.set("bench", "micro_engine").set("scale", MICRO_SCALE);
@@ -148,25 +130,12 @@ fn main() {
         return;
     }
 
-    if bench_check_enabled() {
-        // One history record per gated run: the per-commit series CI
-        // archives so engine-speed trends survive baseline rewrites.
-        let mut fields: Vec<(String, f64)> = lanes
-            .iter()
-            .map(|l| (format!("{}_ns_per_inst", l.name), l.ns_per_inst))
-            .collect();
-        fields.push(("ns_per_inst_aggregate".to_string(), aggregate));
-        let borrowed: Vec<(&str, f64)> =
-            fields.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        append_bench_history("micro_engine", &borrowed);
-    }
-
     match read_baseline("BENCH_engine.json") {
         Some(doc) => {
             let base = doc
                 .get("ns_per_inst_aggregate")
-                .expect("BENCH_engine.json lacks ns_per_inst_aggregate")
-                .as_num();
+                .and_then(Json::as_num)
+                .expect("BENCH_engine.json lacks ns_per_inst_aggregate");
             let ratio = aggregate / base;
             println!(
                 "baseline aggregate: {base:.2} ns/guest-inst (current/baseline = {ratio:.2}x)"
@@ -186,7 +155,7 @@ fn main() {
             // improvement elsewhere — each lane must hold its own line.
             for l in &lanes {
                 let key = format!("{}_ns_per_inst", l.name);
-                let Some(lane_base) = doc.get(&key).map(Json::as_num) else {
+                let Some(lane_base) = doc.get(&key).map(|v| v.as_num().expect("number")) else {
                     println!("[gate] no per-lane baseline {key} (pre-refresh file); skipped");
                     continue;
                 };

@@ -10,21 +10,23 @@
 //! paper's 100M/500M-instruction traces; set `CDVM_SCALE=1.0` for
 //! full-length runs).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::time::Instant;
 
 use cdvm_core::vm::TransKind;
 use cdvm_core::{
-    render_chrome, FlightRecorder, Phase, Status, System, Telemetry, TelemetryConfig, NUM_PHASES,
+    panic_message, render_chrome, FlightRecorder, Phase, RecorderConfig, Status, System,
+    Telemetry, TelemetryConfig, NUM_PHASES,
 };
-use cdvm_stats::json::{Json, Parser};
 use cdvm_stats::{harmonic_mean, ChromeTrace, LogSampler, Metrics};
 use cdvm_uarch::{CycleCat, Cycles, MachineConfig, MachineKind, NUM_CATS};
-use cdvm_workloads::{winstone2004, AppProfile, Workload};
+use cdvm_workloads::{build_app_run, winstone2004, AppProfile, Workload};
 
 pub use cdvm_workloads::env_scale;
 
-/// The workspace JSON reader, under the name the benchmark package imports.
-pub use cdvm_stats::json as testjson;
+pub mod testjson;
+
+use testjson::{Json, Parser};
 
 /// Instructions per sampling slice.
 pub const SAMPLE_SLICE: u64 = 4096;
@@ -360,6 +362,95 @@ pub fn time_to_steady(rec: &FlightRecorder) -> u64 {
     ws.last().map_or(0, |w| w.end_cycles)
 }
 
+/// The cold→warm lanes `startup_snapshot` reports and
+/// `BENCH_startup.json` pins: `(lane, machine, index into
+/// winstone2004())`, all at [`WARM_LANE_SCALE`].
+pub const WARM_LANES: [(&str, MachineKind, usize); 4] = [
+    ("bbt_sbt", MachineKind::VmSoft, 0),
+    ("bbt_sbt_big_footprint", MachineKind::VmSoft, 3),
+    ("interp_sbt", MachineKind::VmInterp, 0),
+    ("vm_be", MachineKind::VmBe, 3),
+];
+
+/// Workload scale of [`WARM_LANES`], fixed (independent of
+/// `CDVM_SCALE`) so the pinned numbers stay comparable.
+pub const WARM_LANE_SCALE: f64 = 0.02;
+
+/// One app on one machine, run cold and then warm from the cold run's
+/// image (see [`run_cold_warm`]).
+#[derive(Debug)]
+pub struct ColdWarm {
+    /// Modeled cycles of the cold run.
+    pub cold_cycles: u64,
+    /// Modeled cycles of the warm run.
+    pub warm_cycles: u64,
+    /// Where the cold run's startup transient ends ([`time_to_steady`]).
+    pub cold_steady: u64,
+    /// Where the warm run's startup transient ends.
+    pub warm_steady: u64,
+    /// Size of the warm image.
+    pub image_bytes: usize,
+    /// Host time to serialize the image.
+    pub save_ns: f64,
+    /// Host time to restore it.
+    pub restore_ns: f64,
+}
+
+/// What a warm image buys on second invocation: runs `profile` on
+/// `kind` cold to its architected end, saves the translation-state
+/// image there, restores it into a fresh system on the same guest
+/// image and runs that warm to the end. The warm pool of `cdvm-serve`
+/// prepares and stamps its images the same way, so its warm jobs
+/// retire in the cycles this reports.
+///
+/// # Panics
+///
+/// Panics unless both runs halt, the restore applies every section and
+/// the warm run retires as many instructions as the cold one.
+pub fn run_cold_warm(kind: MachineKind, profile: &AppProfile, scale: f64) -> ColdWarm {
+    let wl = build_app_run(profile, scale, 1.0);
+    let name = format!("{} on {kind}", profile.name);
+    let recorder_only = TelemetryConfig {
+        trace: None,
+        recorder: Some(RecorderConfig::default()),
+    };
+    let steady = |sys: &mut System| {
+        time_to_steady(sys.take_telemetry().recorder.as_deref().expect("recorder armed"))
+    };
+
+    // Cold leg: first invocation, nothing translated yet.
+    let mut cold = System::with_config(MachineConfig::preset(kind), wl.mem.clone(), wl.entry);
+    cold.set_telemetry(recorder_only);
+    assert_eq!(cold.run_to_completion(u64::MAX), Status::Halted, "{name}: cold");
+    let cold_steady = steady(&mut cold);
+    let t0 = Instant::now();
+    let image = cold.snapshot_bytes();
+    let save_ns = t0.elapsed().as_nanos() as f64;
+
+    // Warm leg: second invocation resumed from the image.
+    let mut warm = System::with_config(MachineConfig::preset(kind), wl.mem.clone(), wl.entry);
+    warm.set_telemetry(recorder_only);
+    let t0 = Instant::now();
+    let outcome = warm.restore_image_bytes(&image);
+    let restore_ns = t0.elapsed().as_nanos() as f64;
+    assert!(
+        !outcome.is_cold_boot() && !outcome.is_degraded(),
+        "{name}: restore must be clean, got {outcome:?}"
+    );
+    assert_eq!(warm.run_to_completion(u64::MAX), Status::Halted, "{name}: warm");
+    assert_eq!(warm.x86_retired(), cold.x86_retired(), "{name}: architected equality");
+
+    ColdWarm {
+        cold_cycles: cold.cycles(),
+        warm_cycles: warm.cycles(),
+        cold_steady,
+        warm_steady: steady(&mut warm),
+        image_bytes: image.len(),
+        save_ns,
+        restore_ns,
+    }
+}
+
 /// Whether `CDVM_BENCH_CHECK` asks the bench to enforce its regression
 /// gate (exit non-zero on failure). A default-off switch read with
 /// [`cdvm_core::trace::parse_switch`]: `0` and garbage leave the gate
@@ -391,63 +482,6 @@ pub fn write_baseline(file: &str, baseline: &Metrics) -> bool {
     std::fs::write(&path, baseline.to_json()).unwrap_or_else(|e| panic!("write {file}: {e}"));
     println!("[baseline] wrote {}", path.display());
     true
-}
-
-/// Appends one JSON line to the repo-root `BENCH_history.jsonl`,
-/// stamping the current commit and wall-clock time next to the run's
-/// numbers. Benches call this only from their `CDVM_BENCH_CHECK` gate
-/// path, so the file accumulates exactly one record per gated bench per
-/// commit — a per-commit time series CI can archive as an artifact,
-/// while ungated local runs (profiling, experiments) leave no residue.
-///
-/// Best-effort by design: a bench must never fail because history could
-/// not be written (read-only checkout, missing `.git`), so errors are
-/// reported to stderr and swallowed.
-pub fn append_bench_history(bench: &str, fields: &[(&str, f64)]) {
-    let root = repo_root();
-    let commit = git_head_sha(&root).unwrap_or_else(|| "unknown".to_string());
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut line = format!("{{\"bench\":\"{bench}\",\"commit\":\"{commit}\",\"unix_time\":{unix_time}");
-    for (key, value) in fields {
-        line.push_str(&format!(",\"{key}\":{value:.4}"));
-    }
-    line.push_str("}\n");
-    let path = root.join("BENCH_history.jsonl");
-    let res = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    match res {
-        Ok(()) => println!("[history] appended to {}", path.display()),
-        Err(e) => eprintln!("cdvm: could not append {}: {e}", path.display()),
-    }
-}
-
-/// Resolves the repository's current commit hash by reading the `.git`
-/// metadata directly (no `git` subprocess, no library dependency):
-/// `HEAD` either holds the hash (detached) or names a ref, which lives
-/// as a loose file or a `packed-refs` line.
-fn git_head_sha(root: &Path) -> Option<String> {
-    let git = root.join(".git");
-    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
-    let head = head.trim();
-    let Some(refname) = head.strip_prefix("ref: ") else {
-        return (head.len() == 40 && head.bytes().all(|b| b.is_ascii_hexdigit()))
-            .then(|| head.to_string());
-    };
-    if let Ok(sha) = std::fs::read_to_string(git.join(refname)) {
-        return Some(sha.trim().to_string());
-    }
-    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
-    packed.lines().find_map(|l| {
-        l.strip_suffix(refname)
-            .map(|sha| sha.trim().to_string())
-            .filter(|sha| sha.len() == 40)
-    })
 }
 
 /// Runs all ten apps × the given machines, in parallel.
@@ -600,45 +634,6 @@ where
         v.into_iter().map(|(_, r)| r).collect(),
         f.into_iter().map(|(_, r)| r).collect(),
     )
-}
-
-/// Extracts a human-readable message from a panic payload. Panics carry
-/// `&str` or `String` in practice; `panic_any` payloads of the common
-/// typed kinds (structured VM errors, I/O errors, primitives) are
-/// rendered too, and anything else is labelled with its `TypeId` so the
-/// failure record at least distinguishes payload types (`dyn Any` does
-/// not expose concrete type names).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        return (*s).to_string();
-    }
-    if let Some(s) = payload.downcast_ref::<String>() {
-        return s.clone();
-    }
-    if let Some(s) = payload.downcast_ref::<std::borrow::Cow<'_, str>>() {
-        return s.to_string();
-    }
-    if let Some(e) = payload.downcast_ref::<cdvm_core::VmError>() {
-        return format!("panic payload VmError: {e}");
-    }
-    if let Some(e) = payload.downcast_ref::<cdvm_core::RestoreError>() {
-        return format!("panic payload RestoreError: {e}");
-    }
-    if let Some(e) = payload.downcast_ref::<std::io::Error>() {
-        return format!("panic payload io::Error: {e}");
-    }
-    macro_rules! try_prim {
-        ($($t:ty),*) => {
-            $(if let Some(v) = payload.downcast_ref::<$t>() {
-                return format!(
-                    "panic payload {}: {v:?}",
-                    std::any::type_name::<$t>()
-                );
-            })*
-        };
-    }
-    try_prim!(i32, u32, i64, u64, usize, isize, f64, f32, bool, char);
-    format!("non-string panic payload ({:?})", payload.type_id())
 }
 
 /// The reference machine's steady-state IPC for an app set: tail rate of
@@ -821,11 +816,10 @@ mod tests {
         for (file, key) in [
             ("BENCH_engine.json", "ns_per_inst_aggregate"),
             ("BENCH_startup.json", "warm_cycles_aggregate"),
-            ("BENCH_serve.json", "warm_over_cold_cycles_p99"),
         ] {
             let doc = read_baseline(file).unwrap_or_else(|| panic!("{file} missing"));
-            let v = doc.get(key).unwrap_or_else(|| panic!("{file} lacks {key}"));
-            assert!(v.as_num() > 0.0, "{file} {key}");
+            let v = doc.get(key).and_then(Json::as_num);
+            assert!(v.is_some_and(|v| v > 0.0), "{file} {key}: {v:?}");
         }
         assert_eq!(read_baseline("BENCH_nonexistent.json"), None);
     }
@@ -851,7 +845,7 @@ mod tests {
         let mut ct = ChromeTrace::new();
         render_chrome(&mut ct, 1, "round-trip", 0.0, &r.telemetry);
         let doc = Parser::parse(&ct.to_json());
-        let events = doc.get("traceEvents").expect("envelope").as_arr();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("envelope");
         assert!(!events.is_empty());
 
         // Track key: (pid, tid) for duration/instant events, (pid, name)
@@ -863,13 +857,13 @@ mod tests {
         let mut saw_complete = false;
         let mut saw_instant = false;
         for ev in events {
-            let ph = ev.get("ph").expect("ph").as_str();
-            let pid = ev.get("pid").expect("pid").as_num();
-            let name = ev.get("name").expect("name").as_str().to_string();
+            let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
+            let pid = ev.get("pid").and_then(Json::as_num).expect("pid");
+            let name = ev.get("name").and_then(Json::as_str).expect("name").to_string();
             if ph == "M" {
                 continue;
             }
-            let ts = ev.get("ts").expect("ts").as_num();
+            let ts = ev.get("ts").and_then(Json::as_num).expect("ts");
             assert!(ts >= 0.0 && ts.is_finite(), "bad ts {ts}");
             let key = match ph {
                 "C" => {
@@ -879,11 +873,11 @@ mod tests {
                 "X" | "i" => {
                     if ph == "X" {
                         saw_complete = true;
-                        assert!(ev.get("dur").expect("dur").as_num() >= 0.0);
+                        assert!(ev.get("dur").and_then(Json::as_num).expect("dur") >= 0.0);
                     } else {
                         saw_instant = true;
                     }
-                    format!("{pid}/{}", ev.get("tid").expect("tid").as_num())
+                    format!("{pid}/{}", ev.get("tid").and_then(Json::as_num).expect("tid"))
                 }
                 other => panic!("unexpected event type {other:?}"),
             };
@@ -894,7 +888,8 @@ mod tests {
             if ph == "C" && name == "phase_cycles/window" {
                 if let Some(Json::Obj(args)) = ev.get("args") {
                     for (phase, v) in args {
-                        *phase_sums.entry(phase.clone()).or_insert(0.0) += v.as_num();
+                        *phase_sums.entry(phase.clone()).or_insert(0.0) +=
+                            v.as_num().expect("counter value");
                     }
                 }
             }
@@ -942,14 +937,55 @@ mod tests {
         top.set("series", rec.to_metrics());
         let doc = Parser::parse(&top.to_json());
         let log = doc.get("series").unwrap().get("log").expect("log series");
-        let retired = log.get("x86_retired").unwrap().as_arr();
+        let retired = log.get("x86_retired").and_then(Json::as_arr).unwrap();
         assert_eq!(
-            retired.last().map(|v| v.as_num()),
+            retired.last().and_then(Json::as_num),
             Some(r.x86_retired as f64)
         );
     }
 
     use std::collections::HashMap;
+
+    /// Modeled cycles are deterministic, so the warm-restore lanes are
+    /// pinned exactly: `BENCH_startup.json` must equal this run's
+    /// document key for key. A warm path that silently degrades (sections
+    /// dropped, caches not rebuilt) re-translates and moves the warm
+    /// cycles. Rewrite the file, as the golden fixture is rewritten, with
+    /// `CDVM_GOLDEN_REGEN=1 cargo test -p cdvm-bench --lib warm_lanes`.
+    #[test]
+    fn warm_lanes_match_bench_startup_exactly() {
+        let mut pins = Metrics::new();
+        pins.set("bench", "startup_snapshot").set("scale", WARM_LANE_SCALE);
+        let (mut cold, mut warm) = (0, 0);
+        for (name, kind, idx) in WARM_LANES {
+            let r = run_cold_warm(kind, &winstone2004()[idx], WARM_LANE_SCALE);
+            pins.set(&format!("{name}_warm_cycles"), r.warm_cycles)
+                .set(&format!("{name}_image_bytes"), r.image_bytes);
+            cold += r.cold_cycles;
+            warm += r.warm_cycles;
+        }
+        pins.set("cold_cycles_aggregate", cold)
+            .set("warm_cycles_aggregate", warm);
+        let got = pins.to_json();
+
+        let path = repo_root().join("BENCH_startup.json");
+        if cdvm_core::trace::env_switch("CDVM_GOLDEN_REGEN", false) {
+            std::fs::write(&path, got).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(&path).unwrap();
+        let diff: Vec<String> = want
+            .lines()
+            .zip(got.lines())
+            .filter(|(w, g)| w != g)
+            .map(|(w, g)| format!("pinned {} | ran {}", w.trim(), g.trim()))
+            .collect();
+        assert!(
+            want == got,
+            "BENCH_startup.json differs from this run:\n{}",
+            diff.join("\n")
+        );
+    }
 
     #[test]
     fn panicking_job_is_isolated_and_reported() {

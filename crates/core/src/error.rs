@@ -208,6 +208,19 @@ impl std::fmt::Display for Watchdog {
     }
 }
 
+/// Renders a caught panic's payload for a failure record: the message
+/// of a `panic!` (a `&str` or a `String`), or else the payload's type
+/// id, since `dyn Any` exposes no type name.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        format!("non-string panic payload ({:?})", payload.type_id())
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {

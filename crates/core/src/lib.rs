@@ -63,7 +63,7 @@ mod uasm;
 mod unchain_tests;
 pub mod vm;
 
-pub use error::{RestoreError, VmError, Watchdog};
+pub use error::{panic_message, RestoreError, VmError, Watchdog};
 pub use faultinj::{FaultInjector, FaultKind, ImageFault, ImageFaultReport, InjectionReport};
 pub use opt::{optimize_run, RunStats};
 pub use pcmap::{CreditMap, PcCounter, PcMap, PcSet};

@@ -1163,8 +1163,10 @@ impl System {
         }
         let vm = self.vm.as_mut().expect("dispatch requires a VM");
         if let Some(native) = vm.lookup(target) {
-            // Late chaining: patch the exiting stub directly (cheap here;
-            // pre-chaining at install covers the common case).
+            // Already translated: enter it. No stub is patched here; chains
+            // are made only at install (pre-chaining to translated targets,
+            // and `chain_to` for the sites pending on the new entry), so
+            // the exit that led here stays an exit.
             self.enter_native(native.0, target);
             return;
         }

@@ -73,17 +73,11 @@ fn flat_object(body: &str) -> Option<Json> {
 }
 
 fn str_field<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match doc.get(key)? {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
+    doc.get(key)?.as_str()
 }
 
 fn num_field(doc: &Json, key: &str) -> Option<u64> {
-    match doc.get(key)? {
-        Json::Num(n) => Some(*n as u64),
-        _ => None,
-    }
+    doc.get(key)?.as_num().map(|n| n as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -510,10 +504,10 @@ mod tests {
     /// A `POST` through the router: status and error message.
     fn post_to(svc: &Service, path: &str, body: &str) -> (u16, String) {
         let r = route(svc, "POST", path, "", body, None);
-        let doc = Parser::parse(&r.body);
+        let doc = Parser::try_parse(&r.body).expect("a JSON reply");
         (
             r.status,
-            doc.get("error").map_or("", Json::as_str).to_string(),
+            doc.get("error").and_then(Json::as_str).unwrap_or("").to_string(),
         )
     }
 

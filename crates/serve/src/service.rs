@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cdvm_core::{fnv1a64, render_chrome, Status, Watchdog};
+use cdvm_core::{fnv1a64, panic_message, render_chrome, Status, Watchdog};
 use cdvm_mem::Rng64;
 use cdvm_stats::PromKind::{self, Counter, Gauge};
 use cdvm_stats::{ChromeTrace, MetricValue, Metrics, PromText};
@@ -949,7 +949,7 @@ fn execute(inner: &Arc<Inner>, w: usize, id: u64) {
                 resume_unwind(payload);
             }
             *lock(&inner.running[w]) = None;
-            let message = panic_message_str(payload.as_ref());
+            let message = panic_message(payload.as_ref());
             retry_or_fail(inner, id, &spec, attempts, message);
         }
         Ok(RunResult::Done(mut done)) => {
@@ -1293,19 +1293,6 @@ fn job_summary(id: u64, rec: &JobRecord, out: &JobOutput) -> Metrics {
         .set("queue_ns", out.queue_ns)
         .set("run_ns", out.run_ns);
     m
-}
-
-/// Renders a panic payload the way the batch harness does, locally: the
-/// serve crate cannot depend on `cdvm-bench` (which dev-depends on it),
-/// so the common cases are duplicated here.
-fn panic_message_str(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        format!("non-string panic payload ({:?})", payload.type_id())
-    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cdvm_bench::testjson::{Json, Parser};
 use cdvm_serve::api::ApiServer;
 use cdvm_serve::{JobSpec, JobState, ServeConfig, Service, SloConfig};
-use cdvm_stats::json::{Json, Parser};
 use cdvm_stats::parse_exposition;
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::winstone2004;
@@ -71,7 +71,7 @@ fn hostile_bodies_get_400_and_the_service_keeps_serving() {
         let (_, health) = request(addr, "GET", "/healthz", "");
         Parser::parse(&health)
             .get("poison_entries")
-            .map(Json::as_num)
+            .and_then(Json::as_num)
     };
     assert_eq!(poisoned(), Some(1.0));
 
@@ -85,7 +85,8 @@ fn hostile_bodies_get_400_and_the_service_keeps_serving() {
         assert_eq!(status, 400, "{reply}");
         let error = Parser::parse(&reply)
             .get("error")
-            .map(|e| e.as_str().to_string());
+            .and_then(Json::as_str)
+            .map(str::to_string);
         assert_eq!(error.as_deref(), Some("body is not a flat JSON object"));
         // The other body-reading route refuses it too, and clears
         // nothing.
@@ -101,11 +102,11 @@ fn hostile_bodies_get_400_and_the_service_keeps_serving() {
         r#"{"tenant": "t", "app": "Word", "machine": "vm.soft"}"#,
     );
     assert_eq!(status, 202, "{reply}");
-    let id = Parser::parse(&reply).get("job").expect("job id").as_num() as u64;
+    let id = Parser::parse(&reply).get("job").and_then(Json::as_num).expect("job id") as u64;
     let (status, reply) = request(addr, "GET", &format!("/jobs/{id}?wait_ms=120000"), "");
     assert_eq!(status, 200, "{reply}");
     assert_eq!(
-        Parser::parse(&reply).get("state").map(Json::as_str),
+        Parser::parse(&reply).get("state").and_then(Json::as_str),
         Some("completed")
     );
 }
@@ -236,8 +237,8 @@ fn healthz_and_metrics_agree_on_every_shared_number() {
     };
     assert_eq!(images.len(), 2);
     for (_, img) in images {
-        let machine = img.get("machine").expect("machine").as_str();
-        let app = img.get("app").expect("app").as_str();
+        let machine = img.get("machine").and_then(Json::as_str).expect("machine");
+        let app = img.get("app").and_then(Json::as_str).expect("app");
         for (key, family, extra) in POOL {
             let mut labels = vec![("machine", machine), ("app", app)];
             labels.extend_from_slice(extra);
@@ -249,10 +250,10 @@ fn healthz_and_metrics_agree_on_every_shared_number() {
             compared += 1;
         }
     }
-    let objectives = health.get("slo").expect("slo").as_arr();
+    let objectives = health.get("slo").and_then(Json::as_arr).expect("slo");
     assert_eq!(objectives.len(), 3);
     for o in objectives {
-        let objective = o.get("objective").expect("objective").as_str();
+        let objective = o.get("objective").and_then(Json::as_str).expect("objective");
         for (key, family, extra) in SLO {
             let mut labels = vec![("objective", objective)];
             labels.extend_from_slice(extra);

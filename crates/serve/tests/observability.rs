@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cdvm_stats::json::Parser;
+use cdvm_bench::testjson::{Json, Parser};
 use cdvm_serve::api::ApiServer;
 use cdvm_serve::{JobSpec, JobState, PoolConfig, ServeConfig, Service};
 use cdvm_stats::{parse_exposition, MetricValue, Metrics, PromKind};
@@ -275,7 +275,7 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
 
     let trace = svc.job_trace(id).expect("trace retained");
     let doc = Parser::parse(&trace);
-    let events = doc.get("traceEvents").expect("envelope").as_arr();
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("envelope");
     assert!(!events.is_empty());
 
     let mut stamp_ts = None;
@@ -285,20 +285,20 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
     let mut saw_vm_process = false;
     let mut saw_service_run = false;
     for ev in events {
-        let pid = ev.get("pid").expect("pid").as_num();
-        let ph = ev.get("ph").expect("ph").as_str();
-        let name = ev.get("name").expect("name").as_str();
+        let pid = ev.get("pid").and_then(Json::as_num).expect("pid");
+        let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
+        let name = ev.get("name").and_then(Json::as_str).expect("name");
         if ph == "M" {
             if pid == 2.0 && name == "process_name" {
                 saw_vm_process = true;
             }
             continue;
         }
-        let ts = ev.get("ts").expect("ts").as_num();
+        let ts = ev.get("ts").and_then(Json::as_num).expect("ts");
         if pid == 1.0 && name == "stamp" {
             stamp_ts = Some(ts);
             if let Some(dur) = ev.get("dur") {
-                stamp_end = ts + dur.as_num();
+                stamp_end = ts + dur.as_num().expect("dur");
             }
         }
         if pid == 2.0 && name == "restore_applied" {
@@ -306,7 +306,7 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
         }
         if pid == 1.0 && name == "run" && ph == "X" {
             saw_service_run = true;
-            let dur_us = ev.get("dur").expect("dur").as_num();
+            let dur_us = ev.get("dur").and_then(Json::as_num).expect("dur");
             // The run span brackets the modeled execution; its
             // wall-clock duration is the run_ns telemetry minus the
             // stamp (checkout) time, so it can only be shorter.
@@ -345,18 +345,19 @@ fn hostile_tenant_names_survive_the_span_and_trace_writers() {
     // The spans document and the merged trace must both stay valid JSON
     // with the tenant name intact after escaping.
     let doc = Parser::parse(&svc.job_spans(id).expect("spans").to_json());
-    assert_eq!(doc.get("tenant").expect("tenant").as_str(), tenant);
+    assert_eq!(doc.get("tenant").and_then(Json::as_str).expect("tenant"), tenant);
     let trace = svc.job_trace(id).expect("trace");
     let tdoc = Parser::parse(&trace);
     let labelled = tdoc
         .get("traceEvents")
+        .and_then(Json::as_arr)
         .expect("envelope")
-        .as_arr()
         .iter()
         .any(|ev| {
             ev.get("args")
                 .and_then(|a| a.get("name"))
-                .is_some_and(|n| n.as_str().contains(tenant))
+                .and_then(Json::as_str)
+                .is_some_and(|n| n.contains(tenant))
         });
     assert!(labelled, "process label carries the raw tenant name:\n{trace}");
 }
@@ -424,23 +425,23 @@ fn api_serves_metrics_spans_trace_and_event_cursors() {
     let (head, body) = http(addr, &format!("GET /jobs/{id}/spans HTTP/1.1\r\n\r\n"));
     assert!(head.contains("200 OK"), "{head}");
     let doc = Parser::parse(&body);
-    assert!(!doc.get("spans").expect("spans").as_arr().is_empty());
+    assert!(!doc.get("spans").and_then(Json::as_arr).expect("spans").is_empty());
 
     // /jobs/<id>/trace returns the merged Perfetto document.
     let (head, body) = http(addr, &format!("GET /jobs/{id}/trace HTTP/1.1\r\n\r\n"));
     assert!(head.contains("200 OK"), "{head}");
-    assert!(!Parser::parse(&body).get("traceEvents").expect("envelope").as_arr().is_empty());
+    assert!(!Parser::parse(&body).get("traceEvents").and_then(Json::as_arr).expect("envelope").is_empty());
 
     // /tenants/<t>/events carries both the legacy `last` field and the
     // new `next_after` cursor, and the cursor actually paginates.
     let (_, body) = http(addr, "GET /tenants/acme/events?after=0 HTTP/1.1\r\n\r\n");
     let doc = Parser::parse(&body);
     assert_eq!(doc.get("last"), doc.get("next_after"));
-    assert_eq!(doc.get("events").expect("events").as_arr().len(), 1);
-    let cursor = doc.get("next_after").expect("cursor").as_num() as u64;
+    assert_eq!(doc.get("events").and_then(Json::as_arr).expect("events").len(), 1);
+    let cursor = doc.get("next_after").and_then(Json::as_num).expect("cursor") as u64;
     let (_, body) = http(addr, &format!("GET /tenants/acme/events?after={cursor} HTTP/1.1\r\n\r\n"));
     assert!(
-        Parser::parse(&body).get("events").expect("events").as_arr().is_empty(),
+        Parser::parse(&body).get("events").and_then(Json::as_arr).expect("events").is_empty(),
         "resuming at next_after yields nothing new"
     );
 

@@ -1,13 +1,12 @@
 //! The JSON reader, counterpart of [`Metrics::to_json`](crate::Metrics::to_json).
 //!
 //! Hand-rolled like the writers (the workspace takes no serialization
-//! dependency). Two kinds of caller share it:
-//!
-//! * tests and bench gates round-tripping the workspace's own
-//!   artifacts call [`Parser::parse`], which panics with a byte offset
-//!   on malformed input — what an assertion wants;
-//! * the serve API reads request bodies from the network through
-//!   [`Parser::try_parse`], which never panics.
+//! dependency). Nothing here panics: [`Parser::try_parse`] returns the
+//! first error with its byte offset, and the `as_*` accessors return
+//! `None` on a value of the wrong type. The serve API reads request
+//! bodies from the network through it; tests and benches read the
+//! workspace's own artifacts through `cdvm_bench::testjson`, which
+//! panics on malformed input, as an assertion wants.
 //!
 //! The parser recurses once per container, so nesting is bounded by
 //! [`MAX_DEPTH`]: an unbounded run of `[` would otherwise overflow the
@@ -44,27 +43,27 @@ impl Json {
         }
     }
 
-    /// The array's elements; panics on non-arrays.
-    pub fn as_arr(&self) -> &[Json] {
+    /// The array's elements; `None` on non-arrays.
+    pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
-            Json::Arr(v) => v,
-            other => panic!("expected array, got {other:?}"),
+            Json::Arr(v) => Some(v),
+            _ => None,
         }
     }
 
-    /// The number's value; panics on non-numbers.
-    pub fn as_num(&self) -> f64 {
+    /// The number's value; `None` on non-numbers.
+    pub fn as_num(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => *n,
-            other => panic!("expected number, got {other:?}"),
+            Json::Num(n) => Some(*n),
+            _ => None,
         }
     }
 
-    /// The string's value; panics on non-strings.
-    pub fn as_str(&self) -> &str {
+    /// The string's value; `None` on non-strings.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => s,
-            other => panic!("expected string, got {other:?}"),
+            Json::Str(s) => Some(s),
+            _ => None,
         }
     }
 }
@@ -97,12 +96,6 @@ impl<'a> Parser<'a> {
             return Err(p.err("trailing bytes after JSON document"));
         }
         Ok(v)
-    }
-
-    /// [`Parser::try_parse`] for documents the workspace wrote itself;
-    /// panics (with the byte offset) on any error.
-    pub fn parse(text: &'a str) -> Json {
-        Parser::try_parse(text).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn err(&self, msg: &str) -> String {
@@ -263,18 +256,17 @@ mod tests {
 
     #[test]
     fn parses_nested_documents_and_escapes() {
-        let doc = Parser::parse(r#"{"a": [1, -2.5e1, "x\n\"yA"], "b": {"c": null}}"#);
-        let a = doc.get("a").expect("a").as_arr();
-        assert_eq!(a[0].as_num(), 1.0);
-        assert_eq!(a[1].as_num(), -25.0);
-        assert_eq!(a[2].as_str(), "x\n\"yA");
+        let doc =
+            Parser::try_parse(r#"{"a": [1, -2.5e1, "x\n\"yA"], "b": {"c": null}}"#).expect("valid");
+        let a = doc.get("a").and_then(Json::as_arr).expect("a");
+        assert_eq!(a[0].as_num(), Some(1.0));
+        assert_eq!(a[1].as_num(), Some(-25.0));
+        assert_eq!(a[2].as_str(), Some("x\n\"yA"));
         assert_eq!(doc.get("b").and_then(|b| b.get("c")), Some(&Json::Null));
-    }
-
-    #[test]
-    #[should_panic(expected = "trailing bytes")]
-    fn rejects_trailing_garbage() {
-        Parser::parse("{} extra");
+        // A value of the wrong type reads as `None`, never a panic.
+        assert_eq!(a[0].as_str(), None);
+        assert_eq!(a[2].as_num(), None);
+        assert_eq!(doc.as_arr(), None);
     }
 
     #[test]
@@ -286,13 +278,13 @@ mod tests {
             .set("n", u64::from(u32::MAX))
             .set("run", inner)
             .set("list", vec![1u64, 2]);
-        let doc = Parser::parse(&m.to_json());
-        assert_eq!(doc.get("name").expect("name").as_str(), "a\"b\\c\u{1}é");
-        assert_eq!(doc.get("n").expect("n").as_num(), f64::from(u32::MAX));
+        let doc = Parser::try_parse(&m.to_json()).expect("the writer's output parses");
+        assert_eq!(doc.get("name").and_then(Json::as_str), Some("a\"b\\c\u{1}é"));
+        assert_eq!(doc.get("n").and_then(Json::as_num), Some(f64::from(u32::MAX)));
         let run = doc.get("run").expect("run");
         assert_eq!(run.get("ipc"), Some(&Json::Num(0.5)));
         assert_eq!(run.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("list").expect("list").as_arr().len(), 2);
+        assert_eq!(doc.get("list").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
     }
 
     #[test]

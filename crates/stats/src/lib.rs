@@ -14,8 +14,8 @@
 //! * [`harmonic_mean`] / [`Table`] — aggregation and rendering;
 //! * [`Metrics`] — an insertion-ordered metrics registry with JSON
 //!   export (`metrics.json` emitted by every bench run), and [`json`],
-//!   the matching reader (depth-bounded, with a non-panicking entry
-//!   point for network input);
+//!   the matching reader (depth-bounded, and safe on network input:
+//!   it reports errors instead of panicking);
 //! * [`ChromeTrace`] — Chrome `trace_event` JSON writer so flight-
 //!   recorder output loads in Perfetto / `chrome://tracing`;
 //! * [`PromText`] / [`parse_exposition`] — Prometheus text-exposition
