@@ -150,7 +150,14 @@ pub struct System {
     sbt_base: u32,
     pending_evict: bool,
     sbt_gen_seen: u64,
+    /// x86-mode dispatch width (the hardware decoder's crack width) per
+    /// retired PC. Grows with the x86-mode footprint; only the Ref and
+    /// VM.fe machines retire in x86 mode, so the others never fill it.
     decode_uops: PcMap,
+    /// The [`Memory::code_version`] every `decode_uops` width was cracked
+    /// under. A store to a fetched code page bumps the memory's version,
+    /// and the widths are dropped before the next one is read or saved.
+    decode_uops_version: u64,
     interp_counters: PcCounter,
     /// Blocks that failed BBT translation: they execute through the
     /// interpreter instead (degradation ladder, see DESIGN.md).
@@ -235,6 +242,7 @@ impl System {
         let sbt_base = vm
             .as_ref()
             .map_or(u32::MAX, |vm| vm.sbt_cache.config().base);
+        let decode_uops_version = mem.code_version();
         let mut sys = System {
             kind,
             cfg,
@@ -254,7 +262,8 @@ impl System {
             sbt_base,
             pending_evict: false,
             sbt_gen_seen: 0,
-            decode_uops: PcMap::with_capacity(1 << 16),
+            decode_uops: PcMap::default(),
+            decode_uops_version,
             interp_counters: PcCounter::new(),
             demoted: PcSet::new(),
             sbt_blacklist: PcSet::new(),
@@ -617,6 +626,7 @@ impl System {
                 let stats = &mut self.stats;
                 let x86_retired = &mut self.x86_retired;
                 let decode_uops = &mut self.decode_uops;
+                let decode_uops_version = &mut self.decode_uops_version;
                 let mut vm = self.vm.as_mut();
                 let mut bbb = self.bbb.as_mut();
                 let interp_counters = &mut self.interp_counters;
@@ -646,7 +656,7 @@ impl System {
                 let res = self.interp.step_batch(
                     &mut self.cpu,
                     &mut self.mem,
-                    &mut |r, uop_memo| {
+                    &mut |r, uop_memo, code_version| {
                         // A REP string instruction retires once
                         // architecturally; its iterations are microcode
                         // (each still pays its timing below).
@@ -664,6 +674,12 @@ impl System {
                             // generation, then a direct-indexed read.
                             let uops = match *uop_memo {
                                 0 => {
+                                    if code_version != *decode_uops_version {
+                                        // Self-modifying code: any width
+                                        // may describe overwritten bytes.
+                                        decode_uops.clear();
+                                        *decode_uops_version = code_version;
+                                    }
                                     let n = match decode_uops.get(r.pc) {
                                         Some(n) => n,
                                         None => {
@@ -1502,7 +1518,13 @@ impl System {
         blacklist.sort_unstable();
         let mut interp_counters: Vec<(u32, u32)> = self.interp_counters.iter().collect();
         interp_counters.sort_unstable();
-        let mut decode_uops: Vec<(u32, u32)> = self.decode_uops.iter().collect();
+        // Widths cracked before a store to a code page may be stale.
+        let widths_current = self.mem.code_version() == self.decode_uops_version;
+        let mut decode_uops: Vec<(u32, u32)> = if widths_current {
+            self.decode_uops.iter().collect()
+        } else {
+            Vec::new()
+        };
         decode_uops.sort_unstable();
         let (seen_bbt, candidates) = self.vm.as_ref().map_or_else(
             || (Vec::new(), Vec::new()),

@@ -1,5 +1,7 @@
 //! Functional executor for translated (implementation-ISA) code.
 
+use std::collections::BTreeSet;
+
 use cdvm_mem::Memory;
 use cdvm_x86::{alu, AluOp, BranchKind, Flags, MemAccess, ShiftOp, Width};
 
@@ -129,6 +131,11 @@ struct RunMap {
     vals: Vec<Run>,
     len: usize,
     mask: usize,
+    /// The live entry PCs in address order: a patched address can only
+    /// lie in a run entered at most [`MAX_RUN_BYTES`] below it, so patch
+    /// invalidation looks up those few entries instead of sweeping
+    /// every slot.
+    entries: BTreeSet<u32>,
 }
 
 const EMPTY_KEY: u32 = 0;
@@ -136,6 +143,10 @@ const EMPTY_KEY: u32 = 0;
 /// Safety cap on run length (a run normally ends at a redirect long
 /// before this; the cap bounds decode-ahead over degenerate byte runs).
 const MAX_RUN: usize = 256;
+
+/// Upper bound on a run's span in bytes: at most [`MAX_RUN`] micro-ops
+/// of at most 4 encoded bytes each.
+const MAX_RUN_BYTES: u32 = 4 * MAX_RUN as u32;
 
 impl RunMap {
     fn new() -> Self {
@@ -152,6 +163,7 @@ impl RunMap {
             ],
             len: 0,
             mask: n - 1,
+            entries: BTreeSet::new(),
         }
     }
 
@@ -176,6 +188,13 @@ impl RunMap {
     }
 
     fn insert(&mut self, key: u32, val: Run) {
+        self.entries.insert(key);
+        self.place(key, val);
+    }
+
+    /// Stores `key -> val` in the probe table only (the entry index is
+    /// the caller's business: rehashing moves entries without adding any).
+    fn place(&mut self, key: u32, val: Run) {
         debug_assert_ne!(key, EMPTY_KEY, "native PC 0 is never translated code");
         if (self.len + 1) * 4 > self.keys.len() * 3 {
             self.grow();
@@ -210,31 +229,30 @@ impl RunMap {
         }
         self.keys[i] = EMPTY_KEY;
         self.len -= 1;
+        self.entries.remove(&key);
         let mut j = (i + 1) & self.mask;
         while self.keys[j] != EMPTY_KEY {
             let (k, v) = (self.keys[j], self.vals[j]);
             self.keys[j] = EMPTY_KEY;
             self.len -= 1;
-            self.insert(k, v);
+            self.place(k, v);
             j = (j + 1) & self.mask;
         }
     }
 
     /// Removes every run whose decoded PC range contains any of `addrs`
     /// (code patches landed there, so the cached micro-ops are stale).
-    /// Patches are per-chain events, orders of magnitude rarer than
-    /// dispatch, and arrive in clusters — one table sweep handles the
-    /// whole cluster.
+    /// Only runs entered in `(a - MAX_RUN_BYTES, a]` can contain `a`, so
+    /// each patched address costs one ordered-index range lookup, however
+    /// many runs are cached.
     fn remove_containing(&mut self, addrs: &[u32]) {
         let mut stale = Vec::new();
-        for i in 0..self.keys.len() {
-            let k = self.keys[i];
-            if k == EMPTY_KEY {
-                continue;
-            }
-            let end = self.vals[i].end_pc;
-            if addrs.iter().any(|&a| k <= a && a < end) {
-                stale.push(k);
+        for &a in addrs {
+            let lo = a.saturating_sub(MAX_RUN_BYTES - 1);
+            for &k in self.entries.range(lo..=a) {
+                if self.get(k).is_some_and(|r| a < r.end_pc) {
+                    stale.push(k);
+                }
             }
         }
         for k in stale {
@@ -245,6 +263,7 @@ impl RunMap {
     fn clear(&mut self) {
         self.keys.fill(EMPTY_KEY);
         self.len = 0;
+        self.entries.clear();
     }
 
     fn grow(&mut self) {
@@ -265,7 +284,7 @@ impl RunMap {
         self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {
             if k != EMPTY_KEY {
-                self.insert(k, v);
+                self.place(k, v);
             }
         }
     }
@@ -359,8 +378,8 @@ impl Executor {
         self.invalidate_all_at(&[addr]);
     }
 
-    /// Batched [`Executor::invalidate_at`]: one run-table sweep for a
-    /// whole cluster of patched sites.
+    /// Batched [`Executor::invalidate_at`] for a whole cluster of
+    /// patched sites.
     pub fn invalidate_all_at(&mut self, addrs: &[u32]) {
         if addrs.is_empty() {
             return;
@@ -1053,5 +1072,144 @@ mod tests {
             }
         );
         assert_eq!(st.pc, 0x8000_0000);
+    }
+
+    /// Flat code bytes at an arbitrary base address.
+    struct Arena {
+        base: u32,
+        bytes: Vec<u8>,
+    }
+
+    impl CodeSource for Arena {
+        fn fetch_hw(&self, addr: u32) -> Option<u16> {
+            let off = addr.checked_sub(self.base)? as usize;
+            let b = self.bytes.get(off..off + 2)?;
+            Some(u16::from_le_bytes([b[0], b[1]]))
+        }
+    }
+
+    /// Every cached run as `(entry, end_pc, micro-ops)`, read straight off
+    /// the probe table, after checking the ordered index lists exactly
+    /// the table's keys.
+    fn live_runs(ex: &Executor) -> BTreeSet<(u32, u32, u32)> {
+        let runs: BTreeSet<(u32, u32, u32)> = ex
+            .runs
+            .keys
+            .iter()
+            .zip(&ex.runs.vals)
+            .filter(|(&k, _)| k != EMPTY_KEY)
+            .map(|(&k, r)| (k, r.end_pc, r.end - r.start))
+            .collect();
+        let keys: BTreeSet<u32> = runs.iter().map(|&(k, _, _)| k).collect();
+        assert_eq!(ex.runs.entries, keys, "index out of step with the table");
+        assert_eq!(ex.runs.len, keys.len());
+        runs
+    }
+
+    #[test]
+    fn indexed_patch_invalidation_matches_a_full_sweep() {
+        use cdvm_mem::Rng64;
+
+        let nop = Uop {
+            op: Op::Sys(SysOp::Nop),
+            rd: 0,
+            rs1: 0,
+            rs2: regs::VMM_SP,
+            imm: 0,
+            w: Width::W32,
+            set_flags: false,
+            fusible: false,
+        };
+        let wide = Uop::alui(Op::Add, 1, 2, 100);
+        let exit = Uop::vmexit(ExitCode::TranslateMiss);
+        assert_eq!((nop.encoded_len(), wide.encoded_len()), (2, 4));
+
+        let mut rng = Rng64::new(0x5eed_2006);
+        let (mut capped, mut shared_end, mut dropped_at_reach) = (0, 0, 0);
+        // Low bases make the lookup window saturate at address 0.
+        for base in [0x8000_0000u32, 0x0010_0000, 0x40, 2] {
+            for _ in 0..6 {
+                // Straight-line stretches of mixed 2- and 4-byte micro-ops
+                // ending in exits, plus one exit-free stretch of 4-byte
+                // micro-ops long enough for runs entered in it to hit the
+                // MAX_RUN cap and span exactly MAX_RUN_BYTES.
+                let mut uops = Vec::new();
+                let long_at = rng.range_usize(0, 400);
+                while uops.len() < 900 {
+                    if uops.len() == long_at {
+                        uops.extend(std::iter::repeat_n(wide, MAX_RUN + 40));
+                    }
+                    uops.push(match rng.below(12) {
+                        0 => exit,
+                        1..=5 => wide,
+                        _ => nop,
+                    });
+                }
+                let code = Arena {
+                    base,
+                    bytes: encoding::encode(&uops),
+                };
+                let end = base + code.bytes.len() as u32;
+                let mut starts = Vec::with_capacity(uops.len());
+                let mut pc = base;
+                for u in &uops {
+                    starts.push(pc);
+                    pc += u32::from(u.encoded_len());
+                }
+
+                let mut ex = Executor::new();
+                let refill = |ex: &mut Executor, rng: &mut Rng64, n: usize| {
+                    for _ in 0..n {
+                        let pc = starts[rng.range_usize(0, starts.len())];
+                        if ex.runs.get(pc).is_none() {
+                            ex.build_run(&code, pc).expect("decodable run");
+                        }
+                    }
+                };
+                refill(&mut ex, &mut rng, 300);
+                for _ in 0..40 {
+                    let before = live_runs(&ex);
+                    let list: Vec<(u32, u32, u32)> = before.iter().copied().collect();
+                    capped += list.iter().filter(|r| r.2 == MAX_RUN as u32).count();
+                    shared_end += list.windows(2).filter(|w| w[0].1 == w[1].1).count();
+                    let cluster: Vec<u32> = (0..rng.range_usize(1, 7))
+                        .map(|_| {
+                            let (k, e, _) = list[rng.range_usize(0, list.len())];
+                            match rng.below(8) {
+                                // A run's first and last byte, and the
+                                // bytes just outside it.
+                                0 => k,
+                                1 => k.wrapping_sub(1),
+                                2 => e - 1,
+                                3 => e,
+                                // The farthest byte a run can reach.
+                                4 => k + MAX_RUN_BYTES - 1,
+                                // Arena edges.
+                                5 => [base, base - 1, end - 1, end][rng.range_usize(0, 4)],
+                                _ => rng.range_u32(base - 2, end + 2),
+                            }
+                        })
+                        .collect();
+                    let survivors: BTreeSet<(u32, u32, u32)> = before
+                        .iter()
+                        .filter(|&&(k, e, _)| !cluster.iter().any(|&a| k <= a && a < e))
+                        .copied()
+                        .collect();
+                    dropped_at_reach += before
+                        .iter()
+                        .filter(|&&(k, e, _)| e - k == MAX_RUN_BYTES)
+                        .filter(|&&(k, _, _)| cluster.contains(&(k + MAX_RUN_BYTES - 1)))
+                        .count();
+                    ex.invalidate_all_at(&cluster);
+                    assert_eq!(live_runs(&ex), survivors, "patch cluster {cluster:x?}");
+                    refill(&mut ex, &mut rng, 20);
+                }
+                ex.invalidate();
+                assert!(live_runs(&ex).is_empty());
+            }
+        }
+        assert!(capped > 0, "no run hit the MAX_RUN cap");
+        assert!(shared_end > 0, "no two runs shared an end");
+        assert!(dropped_at_reach > 0, "no patch landed on a run's farthest byte");
     }
 }

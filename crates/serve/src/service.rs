@@ -829,13 +829,13 @@ fn worker_loop(inner: &Arc<Inner>, w: usize) {
         }
         match inner.queues.pop(w) {
             Pop::Job(id) => execute(inner, w, id),
-            Pop::Wait(d) => {
+            Pop::Wait(d, token) => {
                 if inner.draining.load(Ordering::SeqCst)
                     && inner.inflight.load(Ordering::SeqCst) == 0
                 {
                     return;
                 }
-                inner.queues.park(d);
+                inner.queues.park(token, d);
             }
         }
     }

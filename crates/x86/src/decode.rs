@@ -877,6 +877,13 @@ impl Decoder {
         }
     }
 
+    /// The [`Memory::code_version`] observed at the latest request: every
+    /// cached decode, and the instruction just served, reflect code bytes
+    /// as of this version.
+    pub fn code_version(&self) -> u64 {
+        self.mem_version
+    }
+
     /// Total decode requests served.
     pub fn decodes(&self) -> u64 {
         self.decodes

@@ -219,9 +219,13 @@ impl Interp {
     /// ([`Decoder::uop_memo`]; `0` = not yet computed) so callers that
     /// model hardware cracking pay one side-table fill per decoded
     /// instruction per decoder generation instead of a map probe per
-    /// execution. The step core is monomorphized per closure and inlined
-    /// into this loop, keeping `Cpu` and the decode cursor in registers
-    /// across instructions — the caller's per-step dispatch disappears.
+    /// execution, and the [`Memory::code_version`] the instruction was
+    /// decoded under ([`Decoder::code_version`]), so a caller keeping
+    /// such counts across generations can tell when self-modifying code
+    /// has made them stale. The step core is monomorphized per closure
+    /// and inlined into this loop, keeping `Cpu` and the decode cursor in
+    /// registers across instructions — the caller's per-step dispatch
+    /// disappears.
     ///
     /// Observable behavior is identical to calling [`Interp::step`] in a
     /// loop: the decoder's request/hit counters advance per instruction,
@@ -237,7 +241,7 @@ impl Interp {
         &mut self,
         cpu: &mut Cpu,
         mem: &mut impl Memory,
-        retire: &mut impl FnMut(&Retired, &mut u32) -> bool,
+        retire: &mut impl FnMut(&Retired, &mut u32, u64) -> bool,
     ) -> Result<(), Fault> {
         while self.step_inline(cpu, mem, retire)? {}
         Ok(())
@@ -251,7 +255,7 @@ impl Interp {
         &mut self,
         cpu: &mut Cpu,
         mem: &mut impl Memory,
-        retire: &mut impl FnMut(&Retired, &mut u32) -> bool,
+        retire: &mut impl FnMut(&Retired, &mut u32, u64) -> bool,
     ) -> Result<bool, Fault> {
         let pc = cpu.eip;
         let (inst, idx) = self
@@ -260,7 +264,8 @@ impl Interp {
             .map_err(|err| Fault::Decode { pc, err })?;
         let r = exec(cpu, mem, &inst, pc)?;
         self.retired += 1;
-        Ok(retire(&r, self.decoder.uop_memo(idx)))
+        let code_version = self.decoder.code_version();
+        Ok(retire(&r, self.decoder.uop_memo(idx), code_version))
     }
 }
 

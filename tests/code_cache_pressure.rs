@@ -269,6 +269,98 @@ fn smc_store_invalidates_decoded_instructions() {
     );
 }
 
+/// A guest that runs `mov eax, ebx` (89 D8, one micro-op) ten times,
+/// overwrites its opcode byte with `patch`, and runs it ten times more.
+/// With `patch` 0x87 the second pass runs `xchg eax, ebx` (87 D8, three
+/// micro-ops); with eax == ebx the two agree architecturally, and
+/// neither is microcoded. Returns the memory and the entry PC.
+fn opcode_rewrite_guest(patch: u8) -> (cdvm_mem::GuestMem, u32) {
+    use cdvm_x86::{Asm, Cond, Gpr, MemRef};
+
+    let base = 0x40_0000;
+    let mut asm = Asm::new(base);
+    asm.mov_ri(Gpr::Eax, 7);
+    asm.mov_ri(Gpr::Ebx, 7);
+    asm.mov_ri(Gpr::Edx, u32::from(patch));
+    asm.mov_ri(Gpr::Esi, 2);
+    let outer = asm.here();
+    asm.mov_ri(Gpr::Ecx, 10);
+    let inner = asm.here();
+    let site = asm.pc();
+    asm.mov_rr(Gpr::Eax, Gpr::Ebx);
+    asm.dec_r(Gpr::Ecx);
+    asm.jcc(Cond::Ne, inner);
+    asm.mov_mr8(MemRef::abs(site), Gpr::Edx);
+    asm.dec_r(Gpr::Esi);
+    asm.jcc(Cond::Ne, outer);
+    asm.hlt();
+    let image = asm.finish();
+    assert_eq!(image[(site - base) as usize], 0x89, "mov r/m32, r32");
+    let mut mem = cdvm_mem::GuestMem::new();
+    mem.load(base, &image);
+    (mem, base)
+}
+
+/// Instructions [`opcode_rewrite_guest`] retires up to and including
+/// its first store: four set-up moves, the inner-loop counter, ten
+/// passes of three, then the store.
+const OPCODE_REWRITE_STORE_RETIRES: u64 = 4 + 1 + 10 * 3 + 1;
+
+#[test]
+fn smc_rewrite_recracks_x86_mode_dispatch_width() {
+    // Ref and VM.fe charge each x86-mode instruction its crack width in
+    // dispatch slots, kept per PC across decoder generations. The SMC
+    // store clears the decoder, and a width filled before it must not be
+    // reused after it. The control run stores the original opcode byte
+    // back, so both runs take the same decoder clears, fetches and
+    // branches: the only timing difference left is the rewritten
+    // instruction's dispatch width.
+    use cdvm_x86::Gpr;
+
+    let run = |kind: MachineKind, patch: u8| {
+        let (mem, entry) = opcode_rewrite_guest(patch);
+        let mut sys = System::new(kind, mem, entry);
+        assert_eq!(sys.run_to_completion(u64::MAX), Status::Halted);
+        assert_eq!(sys.cpu().gpr[Gpr::Eax as usize], 7);
+        assert_eq!(sys.cpu().gpr[Gpr::Ebx as usize], 7);
+        assert!(sys.interp.decoder.generation() > 1, "the store must clear the decoder");
+        assert_eq!(sys.x86_retired(), sys.stats.x86_mode_retired, "{kind}: x86 mode only");
+        sys.cycles()
+    };
+
+    for kind in [MachineKind::RefSuperscalar, MachineKind::VmFe] {
+        let unchanged = run(kind, 0x89);
+        let rewritten = run(kind, 0x87);
+        assert!(
+            rewritten > unchanged,
+            "{kind}: ten passes over the three-micro-op xchg cost {rewritten} cycles, \
+             no more than the one-micro-op mov's {unchanged}: a stale crack width was reused"
+        );
+    }
+}
+
+#[test]
+fn smc_stale_crack_widths_stay_out_of_warm_images() {
+    // A run stopped right after its SMC store still holds the widths it
+    // cracked before the store. An image saved there must not carry
+    // them: a warm run over the rewritten code would be charged the old
+    // `mov`'s width for the `xchg`. On Ref an image holds nothing else
+    // that changes timing, so a warm run must match a cold one exactly.
+    let (mem, entry) = opcode_rewrite_guest(0x87);
+    let mut first = System::new(MachineKind::RefSuperscalar, mem, entry);
+    assert_eq!(first.run_slice(OPCODE_REWRITE_STORE_RETIRES), Status::Running);
+    let image = first.snapshot_bytes();
+    let rewritten = first.mem.clone();
+
+    let mut cold = System::new(MachineKind::RefSuperscalar, rewritten.clone(), entry);
+    assert_eq!(cold.run_to_completion(u64::MAX), Status::Halted);
+    let mut warm = System::new(MachineKind::RefSuperscalar, rewritten, entry);
+    let outcome = warm.restore_image_bytes(&image);
+    assert!(!outcome.is_cold_boot() && !outcome.is_degraded(), "{outcome:?}");
+    assert_eq!(warm.run_to_completion(u64::MAX), Status::Halted);
+    assert_eq!(warm.cycles(), cold.cycles(), "the image carried a stale crack width");
+}
+
 #[test]
 fn code_cache_flush_sheds_decoded_runs() {
     // The native executor memoizes decoded micro-op runs keyed by code

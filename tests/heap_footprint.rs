@@ -1,0 +1,121 @@
+//! Per-`System` heap footprint: beyond the two code-cache arenas it
+//! reserves up front, a `System` should request heap in proportion to
+//! the code its guest touches, not to table capacities fixed in
+//! advance. A warm pool keeps one stamped `System` per image, so every
+//! fixed reservation is paid once per image.
+//!
+//! The counting global allocator sees every allocation in this binary,
+//! so the binary holds exactly one test.
+
+#![allow(clippy::unwrap_used, clippy::panic)]
+use std::alloc::{GlobalAlloc, Layout, System as Heap};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+use cdvm_core::{System, TelemetryConfig};
+use cdvm_uarch::{MachineConfig, MachineKind};
+use cdvm_workloads::{build_app, winstone2004};
+
+/// Live heap bytes requested through the global allocator.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// counter is bookkeeping only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = Heap.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = Heap.alloc_zeroed(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Heap.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = Heap.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn system_heap_beyond_code_caches_stays_small() {
+    const FRESH_LIMIT: isize = 640 << 10;
+    const WARM_LIMIT: isize = 768 << 10;
+    let word = winstone2004().into_iter().find(|p| p.name == "Word").unwrap();
+    let wl = build_app(&word, 0.005);
+
+    // Live heap a new System holds beyond its code-cache reservations,
+    // optionally after restoring `image`. Telemetry armed from the
+    // environment is switched off first: it is opt-in and sized by its
+    // own configuration.
+    let footprint = |kind: MachineKind, image: Option<&[u8]>| {
+        let cfg = MachineConfig::preset(kind);
+        let mem = wl.mem.clone();
+        let before = LIVE.load(Ordering::Relaxed);
+        let mut sys = System::with_config(cfg, mem, wl.entry);
+        sys.set_telemetry(TelemetryConfig::default());
+        if let Some(image) = image {
+            let outcome = sys.restore_image_bytes(image);
+            assert!(
+                !outcome.is_cold_boot() && !outcome.is_degraded(),
+                "{kind}: {outcome:?}"
+            );
+        }
+        let live = LIVE.load(Ordering::Relaxed) - before;
+        let caches = if sys.vm.is_some() {
+            (cfg.bbt_cache_bytes + cfg.sbt_cache_bytes) as isize
+        } else {
+            0
+        };
+        drop(sys);
+        live - caches
+    };
+
+    // Cold runs first: they also initialize every lazily built table, so
+    // none of that lands in a measurement below.
+    let images: Vec<(MachineKind, Vec<u8>)> = MachineKind::ALL
+        .iter()
+        .map(|&kind| {
+            let mut sys = System::with_config(MachineConfig::preset(kind), wl.mem.clone(), wl.entry);
+            sys.run_to_completion(u64::MAX);
+            (kind, sys.snapshot_bytes())
+        })
+        .collect();
+
+    for (kind, image) in &images {
+        let fresh = footprint(*kind, None);
+        let warm = footprint(*kind, Some(image));
+        eprintln!("{kind}: {} KiB fresh, {} KiB warm", fresh >> 10, warm >> 10);
+        assert!(
+            fresh < FRESH_LIMIT,
+            "{kind}: a fresh System holds {} KiB beyond its code caches (limit {})",
+            fresh >> 10,
+            FRESH_LIMIT >> 10
+        );
+        assert!(
+            warm < WARM_LIMIT,
+            "{kind}: a warm-restored System holds {} KiB beyond its code caches (limit {})",
+            warm >> 10,
+            WARM_LIMIT >> 10
+        );
+    }
+}
