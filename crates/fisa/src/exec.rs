@@ -124,6 +124,12 @@ struct Run {
     end_pc: u32,
 }
 
+impl Run {
+    fn uops(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+}
+
 /// Open-addressing map from run entry PC to [`Run`]. SipHash-free for
 /// the dispatch path; key 0 is free (native PC 0 is never code).
 struct RunMap {
@@ -136,6 +142,8 @@ struct RunMap {
     /// invalidation looks up those few entries instead of sweeping
     /// every slot.
     entries: BTreeSet<u32>,
+    /// Micro-ops held by the live runs.
+    uops: usize,
 }
 
 const EMPTY_KEY: u32 = 0;
@@ -147,6 +155,10 @@ const MAX_RUN: usize = 256;
 /// Upper bound on a run's span in bytes: at most [`MAX_RUN`] micro-ops
 /// of at most 4 encoded bytes each.
 const MAX_RUN_BYTES: u32 = 4 * MAX_RUN as u32;
+
+/// Slack of the decode arena: it is rebuilt from the live runs once it
+/// holds more than twice their micro-ops plus this many.
+const COMPACT_FLOOR: usize = 4 * MAX_RUN;
 
 impl RunMap {
     fn new() -> Self {
@@ -164,6 +176,7 @@ impl RunMap {
             len: 0,
             mask: n - 1,
             entries: BTreeSet::new(),
+            uops: 0,
         }
     }
 
@@ -187,13 +200,18 @@ impl RunMap {
         }
     }
 
+    /// Adds a run for an entry PC that has none (`build_run` decodes on
+    /// a lookup miss).
     fn insert(&mut self, key: u32, val: Run) {
-        self.entries.insert(key);
+        let fresh = self.entries.insert(key);
+        debug_assert!(fresh, "run at {key:#x} decoded twice");
+        self.uops += val.uops();
         self.place(key, val);
     }
 
-    /// Stores `key -> val` in the probe table only (the entry index is
-    /// the caller's business: rehashing moves entries without adding any).
+    /// Stores `key -> val` in the probe table only (the entry index and
+    /// the micro-op count are the caller's business: rehashing moves
+    /// entries without adding any).
     fn place(&mut self, key: u32, val: Run) {
         debug_assert_ne!(key, EMPTY_KEY, "native PC 0 is never translated code");
         if (self.len + 1) * 4 > self.keys.len() * 3 {
@@ -229,6 +247,7 @@ impl RunMap {
         }
         self.keys[i] = EMPTY_KEY;
         self.len -= 1;
+        self.uops -= self.vals[i].uops();
         self.entries.remove(&key);
         let mut j = (i + 1) & self.mask;
         while self.keys[j] != EMPTY_KEY {
@@ -264,6 +283,7 @@ impl RunMap {
         self.keys.fill(EMPTY_KEY);
         self.len = 0;
         self.entries.clear();
+        self.uops = 0;
     }
 
     fn grow(&mut self) {
@@ -364,6 +384,13 @@ impl Executor {
         self.runs.len
     }
 
+    /// Micro-ops held in the decode arena, for live runs and for runs
+    /// dropped since the arena was last rebuilt (diagnostic: it stays
+    /// within twice the live runs' micro-ops plus a fixed slack).
+    pub fn cached_uops(&self) -> usize {
+        self.dense.len()
+    }
+
     /// Clears the decode cache (call after any code-cache flush/patch).
     pub fn invalidate(&mut self) {
         self.runs.clear();
@@ -385,8 +412,30 @@ impl Executor {
             return;
         }
         self.runs.remove_containing(addrs);
+        // Dropped runs leave their micro-ops in the arena, and a run
+        // entered again is appended afresh: rebuild the arena once the
+        // dead micro-ops outnumber the live ones. Appends keep this
+        // bound, so only dropping runs can break it.
+        if self.dense.len() > 2 * self.runs.uops + COMPACT_FLOOR {
+            self.compact();
+        }
         // The cursor may be mid-way through a dropped run.
         self.reset_cursor();
+    }
+
+    /// Rebuilds the decode arena from the live runs alone and points
+    /// each run at its new range.
+    fn compact(&mut self) {
+        let mut dense = Vec::with_capacity(2 * self.runs.uops);
+        for (&key, run) in self.runs.keys.iter().zip(&mut self.runs.vals) {
+            if key != EMPTY_KEY {
+                let start = dense.len() as u32;
+                dense.extend_from_slice(&self.dense[run.start as usize..run.end as usize]);
+                run.start = start;
+                run.end = dense.len() as u32;
+            }
+        }
+        self.dense = dense;
     }
 
     fn reset_cursor(&mut self) {
@@ -1211,5 +1260,76 @@ mod tests {
         assert!(capped > 0, "no run hit the MAX_RUN cap");
         assert!(shared_end > 0, "no two runs shared an end");
         assert!(dropped_at_reach > 0, "no patch landed on a run's farthest byte");
+    }
+
+    #[test]
+    fn patch_churn_keeps_the_arena_bounded_and_runs_intact() {
+        use cdvm_mem::Rng64;
+        use std::collections::BTreeMap;
+
+        let nop = Uop::alui(Op::Sys(SysOp::Nop), 0, 0, 0);
+        let wide = Uop::alui(Op::Add, 1, 2, 100);
+        let exit = Uop::vmexit(ExitCode::TranslateMiss);
+        let mut rng = Rng64::new(0xa4e4_2006);
+        let uops: Vec<Uop> = (0..600)
+            .map(|_| match rng.below(10) {
+                0 => exit,
+                1..=5 => wide,
+                _ => nop,
+            })
+            .collect();
+        let base = 0x8000_0000u32;
+        let code = Arena {
+            base,
+            bytes: encoding::encode(&uops),
+        };
+        let end = base + code.bytes.len() as u32;
+        let mut starts = Vec::with_capacity(uops.len());
+        let mut pc = base;
+        for u in &uops {
+            starts.push(pc);
+            pc += u32::from(u.encoded_len());
+        }
+        // What a fresh executor decodes at each entry.
+        let mut fresh: BTreeMap<u32, Vec<(Uop, u8, UopMeta)>> = BTreeMap::new();
+
+        let mut ex = Executor::new();
+        let mut compactions = 0;
+        for step in 0..1500 {
+            if rng.bool(0.75) {
+                let pc = starts[rng.range_usize(0, starts.len())];
+                if ex.runs.get(pc).is_none() {
+                    ex.build_run(&code, pc).expect("decodable run");
+                }
+            } else {
+                let stored = ex.cached_uops();
+                let cluster: Vec<u32> = (0..rng.range_usize(1, 4))
+                    .map(|_| rng.range_u32(base, end))
+                    .collect();
+                ex.invalidate_all_at(&cluster);
+                compactions += usize::from(ex.cached_uops() < stored);
+            }
+            let live = live_runs(&ex);
+            let live_uops: usize = live.iter().map(|r| r.2 as usize).sum();
+            assert_eq!(ex.runs.uops, live_uops, "live count after step {step}");
+            assert!(
+                ex.cached_uops() <= 2 * live_uops + COMPACT_FLOOR,
+                "step {step}: {} micro-ops stored for {live_uops} live",
+                ex.cached_uops()
+            );
+            for &(entry, _, _) in &live {
+                let want = fresh.entry(entry).or_insert_with(|| {
+                    let mut ex = Executor::new();
+                    ex.build_run(&code, entry).expect("decodable run");
+                    ex.dense
+                });
+                let run = ex.runs.get(entry).expect("live run");
+                assert!(
+                    ex.dense[run.start as usize..run.end as usize] == want[..],
+                    "run at {entry:#x} after step {step}"
+                );
+            }
+        }
+        assert!(compactions > 0, "the arena was never rebuilt");
     }
 }

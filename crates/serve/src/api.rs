@@ -7,6 +7,13 @@
 //! integers; responses are built with
 //! [`Metrics::to_json`](cdvm_stats::Metrics::to_json).
 //!
+//! Framing is bounded and refused rather than guessed, before anything
+//! is routed: a request line or header line above 8 KiB, or more than 64
+//! header lines, get 431; a request line without a method and a target,
+//! or a `Content-Length` that is not a decimal number (or disagrees with
+//! another one), gets 400; a length above 1 MiB gets 413 without a body
+//! byte being read.
+//!
 //! | Method & path                     | Action                                     |
 //! |-----------------------------------|--------------------------------------------|
 //! | `POST /jobs`                      | submit `{tenant, app, machine, ...}`       |
@@ -22,11 +29,11 @@
 //! | `POST /drain`                     | graceful drain (persists warm images)      |
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cdvm_stats::json::{Json, Parser};
 use cdvm_stats::Metrics;
@@ -191,43 +198,141 @@ impl Drop for ApiServer {
     }
 }
 
+/// Longest request line or header line read, terminator included.
+const MAX_LINE: u64 = 8 << 10;
+/// Most header lines read per request.
+const MAX_HEADERS: usize = 64;
+/// Largest request body read.
+const MAX_BODY: u64 = 1 << 20;
+/// How long a refused connection is drained before it closes.
+const DRAIN_TIME: Duration = Duration::from_millis(200);
+
+/// A request whose framing was read in full.
+struct Request {
+    method: String,
+    target: String,
+    body: String,
+}
+
+/// Why no request was read: the connection ended or failed mid-request
+/// (nothing to answer), or the framing is refused with this response.
+enum Framing {
+    Gone,
+    Refused(Resp),
+}
+
 fn handle_conn(service: &Service, stream: TcpStream, persist_dir: Option<&std::path::Path>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
-        return;
+    let req = match read_request(&mut reader) {
+        Ok(req) => req,
+        Err(Framing::Gone) => return,
+        Err(Framing::Refused(resp)) => {
+            refuse(&stream, reader.into_inner(), &resp);
+            return;
+        }
+    };
+    let (path, query) = req.target.split_once('?').unwrap_or((&req.target, ""));
+    let resp = route(service, &req.method, path, query, &req.body, persist_dir);
+    let _ = write_response(&stream, &resp);
+}
+
+/// Reads the request line, the headers and the body, within the bounds
+/// above. Only `Content-Length` is interpreted; a request is routed only
+/// once its body has been read in full.
+fn read_request(reader: &mut impl BufRead) -> Result<Request, Framing> {
+    let line = read_line(reader)?;
+    if line.is_empty() {
+        return Err(Framing::Gone);
     }
     let mut parts = line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m.to_string(), t.to_string()),
-        _ => return,
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Err(refused(400, "Bad Request", "malformed request line"));
     };
-    // Headers: only Content-Length matters.
-    let mut content_len = 0usize;
+    let (method, target) = (method.to_string(), target.to_string());
+    let mut content_len = None;
+    let mut headers = 0;
     loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h).is_err() || h == "\r\n" || h == "\n" || h.is_empty() {
+        let h = read_line(reader)?;
+        if h == "\r\n" || h == "\n" || h.is_empty() {
             break;
         }
-        if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_len = v.trim().parse().unwrap_or(0);
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(refused(
+                431,
+                "Request Header Fields Too Large",
+                "too many header lines",
+            ));
         }
+        let Some((name, value)) = h.split_once(':') else {
+            continue;
+        };
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let value = value.trim();
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(refused(400, "Bad Request", "unparseable Content-Length"));
+        }
+        // All digits: too many of them only means too large.
+        let n = value.parse::<u64>().unwrap_or(u64::MAX);
+        if content_len.is_some_and(|c| c != n) {
+            return Err(refused(400, "Bad Request", "conflicting Content-Length"));
+        }
+        content_len = Some(n);
     }
-    let mut body = vec![0u8; content_len.min(1 << 20)];
-    if content_len > 0 && reader.read_exact(&mut body).is_err() {
+    let len = content_len.unwrap_or(0);
+    if len > MAX_BODY {
+        return Err(refused(413, "Payload Too Large", "body above 1 MiB"));
+    }
+    let mut body = vec![0u8; len as usize];
+    reader.read_exact(&mut body).map_err(|_| Framing::Gone)?;
+    Ok(Request {
+        method,
+        target,
+        body: String::from_utf8_lossy(&body).into_owned(),
+    })
+}
+
+/// Reads one line of at most [`MAX_LINE`] bytes, terminator included;
+/// empty at end of input.
+fn read_line(reader: &mut impl BufRead) -> Result<String, Framing> {
+    let mut buf = Vec::new();
+    reader
+        .take(MAX_LINE)
+        .read_until(b'\n', &mut buf)
+        .map_err(|_| Framing::Gone)?;
+    if buf.len() as u64 == MAX_LINE && buf.last() != Some(&b'\n') {
+        return Err(refused(
+            431,
+            "Request Header Fields Too Large",
+            "line above 8 KiB",
+        ));
+    }
+    Ok(String::from_utf8_lossy(&buf).into_owned())
+}
+
+fn refused(status: u16, reason: &'static str, msg: &str) -> Framing {
+    Framing::Refused(Resp::error(status, reason, msg))
+}
+
+/// Answers a refused request, then discards what the client sends for
+/// at most [`DRAIN_TIME`] before closing: closing a socket with unread
+/// input resets the connection, which can destroy the response before
+/// the client reads it.
+fn refuse(stream: &TcpStream, mut input: TcpStream, resp: &Resp) {
+    if write_response(stream, resp).is_err() {
         return;
     }
-    let body = String::from_utf8_lossy(&body).into_owned();
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target.as_str(), ""),
-    };
-    let resp = route(service, &method, path, query, &body, persist_dir);
-    let _ = write_response(&stream, &resp);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIME;
+    let _ = input.set_read_timeout(Some(DRAIN_TIME));
+    let mut buf = [0u8; 4096];
+    while Instant::now() < deadline && matches!(input.read(&mut buf), Ok(n) if n > 0) {}
 }
 
 /// A response: status, reason, content type, extra headers, body.

@@ -1,6 +1,7 @@
-//! The API's two edges, over a real socket: hostile request bodies get
-//! a 400 and leave the service serving, and `/healthz` and `/metrics`
-//! report the same value for every number both export.
+//! The API's edges, over a real socket: malformed framing and hostile
+//! request bodies are refused and leave the service serving, and
+//! `/healthz` and `/metrics` report the same value for every number both
+//! export.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -109,6 +110,90 @@ fn hostile_bodies_get_400_and_the_service_keeps_serving() {
         Parser::parse(&reply).get("state").and_then(Json::as_str),
         Some("completed")
     );
+}
+
+/// Sends `raw` as it is and returns the reply's status and body. A
+/// refused request is answered before the server has read all of it,
+/// and must still end in a clean close: a server that closed over the
+/// unread rest would reset the connection instead.
+fn raw_request(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.write_all(raw).expect("write request");
+    let mut buf = Vec::new();
+    s.read_to_end(&mut buf).expect("a clean close");
+    let reply = String::from_utf8_lossy(&buf).into_owned();
+    let status = reply
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("no status in {reply:?}"));
+    (status, reply)
+}
+
+#[test]
+fn malformed_framing_is_refused_before_routing() {
+    let svc = Arc::new(Service::start(config(&["Word"])));
+    let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");
+    let addr = server.addr();
+    let mut crasher = JobSpec::new("crasher", "Word", MachineKind::VmSoft);
+    crasher.chaos_panic_attempts = u32::MAX;
+    let id = svc.submit(crasher).expect("admitted");
+    let state = svc.wait(id, Duration::from_secs(120)).expect("known job");
+    assert!(matches!(state, JobState::Failed { .. }), "{state:?}");
+    let poisoned = || {
+        let (_, health) = request(addr, "GET", "/healthz", "");
+        Parser::parse(&health)
+            .get("poison_entries")
+            .and_then(Json::as_num)
+    };
+    assert_eq!(poisoned(), Some(1.0));
+
+    let clear = r#"{"signature": "crasher/Word/VmSoft"}"#;
+    let post_clear = |length: &str| {
+        format!("POST /poison/clear HTTP/1.1\r\ncontent-length: {length}\r\n\r\n{clear}")
+    };
+    let long = "a".repeat(9000);
+    let headers = |n: usize| "x-h: 1\r\n".repeat(n);
+    // An 8 KiB line, terminator included, is the longest one read.
+    let longest = format!("x-pad: {}\r\n", "a".repeat(8192 - 9));
+    let cases: Vec<(String, u16)> = vec![
+        // A length that does not parse used to read as 0, so this
+        // cleared every poisoned signature.
+        (post_clear("4x"), 400),
+        (post_clear(&format!("-{}", clear.len())), 400),
+        (post_clear(&format!("+{}", clear.len())), 400),
+        (post_clear(""), 400),
+        (
+            format!(
+                "POST /poison/clear HTTP/1.1\r\ncontent-length: {}\r\ncontent-length: {}\r\n\r\n{clear}",
+                clear.len(),
+                clear.len() - 1
+            ),
+            400,
+        ),
+        // Above 1 MiB: refused before any body byte is read.
+        (post_clear("1048577"), 413),
+        (post_clear("99999999999999999999999"), 413),
+        (format!("GET /{long} HTTP/1.1\r\n\r\n"), 431),
+        (format!("GET /healthz HTTP/1.1\r\nx-pad: {long}\r\n\r\n"), 431),
+        // A client that never sends a newline.
+        (long.clone(), 431),
+        (format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(65)), 431),
+        (format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(64)), 200),
+        (format!("GET /healthz HTTP/1.1\r\n{longest}\r\n"), 200),
+        ("GET\r\n\r\n".to_string(), 400),
+    ];
+    for (raw, want) in &cases {
+        let (status, reply) = raw_request(addr, raw.as_bytes());
+        let head: String = raw.chars().take(60).collect();
+        assert_eq!(status, *want, "{head:?}: {reply}");
+        assert_eq!(poisoned(), Some(1.0), "{head:?} cleared the poison");
+    }
+
+    // Framed correctly, the same body clears exactly that signature.
+    let (status, reply) = raw_request(addr, post_clear(&clear.len().to_string()).as_bytes());
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(poisoned(), Some(0.0));
 }
 
 /// One shared number: `/healthz` key, `/metrics` family, labels.

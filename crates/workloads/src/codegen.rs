@@ -1,5 +1,8 @@
 //! The workload code generator.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
 use cdvm_mem::{GuestMem, Memory, Rng64};
 use cdvm_x86::{AluOp, Asm, Cond, Gpr, MemRef, ShiftOp, Width};
 
@@ -19,7 +22,10 @@ pub struct Workload {
     /// Application name.
     pub name: String,
     /// Memory image with code, globals, function table and schedule
-    /// resident (the paper's memory-startup scenario).
+    /// resident (the paper's memory-startup scenario). The globals pages
+    /// are shared copy-on-write with a process-wide template of the same
+    /// size, so a build allocates only its code, function-table and
+    /// schedule pages; a guest store copies the page it lands in.
     pub mem: GuestMem,
     /// Entry PC.
     pub entry: u32,
@@ -88,7 +94,7 @@ pub fn build_app_run(profile: &AppProfile, scale: f64, length_mult: f64) -> Work
     let ncalls = ((profile.calls as f64 * scale * length_mult) as usize).max(200);
 
     let mut e = Emitter::new();
-    let mut mem = GuestMem::new();
+    let mut mem = globals(profile.data_kb);
 
     // ---- driver ---------------------------------------------------------
     let entry = e.asm.pc();
@@ -137,12 +143,7 @@ pub fn build_app_run(profile: &AppProfile, scale: f64, length_mult: f64) -> Work
     let code = e.asm.finish();
     mem.load(CODE_BASE, &code);
 
-    // ---- data: globals, function table, schedule -------------------------
-    for k in 0..(profile.data_kb as u32 * 1024 / 4) {
-        if k % 7 == 0 {
-            mem.write_u32(DATA_BASE + k * 4, k.wrapping_mul(0x9e37_79b9));
-        }
-    }
+    // ---- data: function table, schedule (globals came with `mem`) --------
     for (i, f) in funcs.iter().enumerate() {
         mem.write_u32(FTAB_BASE + 4 * i as u32, f.addr);
     }
@@ -191,6 +192,37 @@ pub fn build_app_run(profile: &AppProfile, scale: f64, length_mult: f64) -> Work
         scheduled_calls: ncalls,
         approx_dynamic,
     }
+}
+
+/// Globals images by size in KiB. The globals depend only on their size,
+/// so every build clones (copy-on-write) the image of its size instead of
+/// writing its own pages.
+static GLOBALS: Mutex<BTreeMap<u32, GuestMem>> = Mutex::new(BTreeMap::new());
+
+/// A copy-on-write clone of the globals image of `data_kb` KiB.
+fn globals(data_kb: u32) -> GuestMem {
+    // The map is only ever extended by whole entries, so a panic while
+    // the lock was held leaves it consistent.
+    let mut images = GLOBALS.lock().unwrap_or_else(PoisonError::into_inner);
+    globals_in(&mut images, data_kb).clone()
+}
+
+/// The globals image of `data_kb` KiB in `images`, built on first use:
+/// every 7th word `k` holds `k * 0x9e3779b9`, the rest read zero. A new
+/// size starts from a clone of the largest smaller one, so the sizes
+/// share the pages they have in common.
+fn globals_in(images: &mut BTreeMap<u32, GuestMem>, data_kb: u32) -> &GuestMem {
+    if !images.contains_key(&data_kb) {
+        let (from, mut mem) = match images.range(..data_kb).next_back() {
+            Some((&kb, mem)) => (kb, mem.clone()),
+            None => (0, GuestMem::new()),
+        };
+        for k in (from * 256..data_kb * 256).filter(|k| k % 7 == 0) {
+            mem.write_u32(DATA_BASE + k * 4, k.wrapping_mul(0x9e37_79b9));
+        }
+        images.insert(data_kb, mem);
+    }
+    &images[&data_kb]
 }
 
 /// Entry shim: the driver expects `EBP == FTAB_BASE`; `System` starts
@@ -355,9 +387,83 @@ fn gen_body_op(e: &mut Emitter, rng: &mut Rng64, profile: &AppProfile, g0: u32, 
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::winstone2004;
+    use cdvm_mem::PAGE_SIZE;
+
+    /// Checks every byte of the globals, and of the page past them,
+    /// against a dense fill of the pattern.
+    fn check_globals(mem: &mut GuestMem, data_kb: u32) {
+        let len = data_kb as usize * 1024;
+        let mut want = vec![0u8; len + PAGE_SIZE];
+        for (k, word) in want[..len].chunks_exact_mut(4).enumerate() {
+            if k % 7 == 0 {
+                word.copy_from_slice(&(k as u32).wrapping_mul(0x9e37_79b9).to_le_bytes());
+            }
+        }
+        let mut got = vec![0xa5u8; want.len()];
+        mem.read_bytes(DATA_BASE, &mut got);
+        let first_diff = got.iter().zip(&want).position(|(g, w)| g != w);
+        assert_eq!(first_diff, None, "{data_kb} KiB of globals");
+    }
+
+    /// FNV-1a over the address and bytes of every resident page, after
+    /// checking that the non-zero pages of the four regions a build
+    /// writes are all of them.
+    fn image_hash(mem: &mut GuestMem) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut pages = 0;
+        for base in [CODE_BASE, DATA_BASE, FTAB_BASE, SCHED_BASE] {
+            for addr in (base..base + (4 << 20)).step_by(PAGE_SIZE) {
+                let page = mem.read_slice(addr, PAGE_SIZE).unwrap();
+                if page.iter().all(|&b| b == 0) {
+                    continue;
+                }
+                pages += 1;
+                for b in addr.to_le_bytes().iter().chain(page) {
+                    hash = (hash ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            pages,
+            mem.resident_pages(),
+            "a resident page lies elsewhere"
+        );
+        hash
+    }
+
+    #[test]
+    fn shared_globals_match_a_dense_fill() {
+        let stock = winstone2004();
+        for p in &stock {
+            check_globals(&mut build_app_run(p, 0.002, 0.1).mem, p.data_kb);
+        }
+        // First use in either order: ascending sizes extend each other,
+        // descending ones are filled from nothing.
+        let sizes = [0, 1, 3, 1023, 3072];
+        let descending: Vec<u32> = sizes.iter().rev().copied().collect();
+        for order in [&sizes[..], &descending[..]] {
+            let mut images = BTreeMap::new();
+            for &kb in order {
+                check_globals(&mut globals_in(&mut images, kb).clone(), kb);
+            }
+            for &kb in order {
+                let p = AppProfile {
+                    data_kb: kb,
+                    ..stock[0].clone()
+                };
+                check_globals(&mut build_app_run(&p, 0.002, 0.1).mem, kb);
+            }
+        }
+        // IE has the largest globals.
+        let ie = &stock[3];
+        let a = image_hash(&mut build_app_run(ie, 0.002, 0.1).mem);
+        let b = image_hash(&mut build_app_run(ie, 0.002, 0.1).mem);
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn deterministic_generation() {

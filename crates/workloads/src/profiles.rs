@@ -147,6 +147,7 @@ pub fn winstone2004() -> Vec<AppProfile> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
 

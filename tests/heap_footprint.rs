@@ -8,53 +8,14 @@
 //! so the binary holds exactly one test.
 
 #![allow(clippy::unwrap_used, clippy::panic)]
-use std::alloc::{GlobalAlloc, Layout, System as Heap};
-use std::sync::atomic::{AtomicIsize, Ordering};
+mod counting_alloc;
+
+use std::sync::atomic::Ordering;
 
 use cdvm_core::{System, TelemetryConfig};
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app, winstone2004};
-
-/// Live heap bytes requested through the global allocator.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call forwards to the system allocator unchanged; the
-// counter is bookkeeping only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = Heap.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = Heap.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Heap.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = Heap.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::LIVE;
 
 #[test]
 fn system_heap_beyond_code_caches_stays_small() {
