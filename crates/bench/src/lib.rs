@@ -474,6 +474,10 @@ pub fn read_baseline(file: &str) -> Option<Json> {
 /// Writes `baseline` to the repo-root `file` when the
 /// `CDVM_BENCH_WRITE_BASELINE` switch is on, and reports whether it did
 /// (the bench then skips its gate: it would compare the run to itself).
+#[allow(
+    clippy::panic,
+    reason = "a developer tool: a baseline that cannot be written must stop the run"
+)]
 pub fn write_baseline(file: &str, baseline: &Metrics) -> bool {
     if !cdvm_core::trace::env_switch("CDVM_BENCH_WRITE_BASELINE", false) {
         return false;
@@ -658,10 +662,9 @@ pub fn tail_ipc(r: &CurveResult) -> f64 {
 /// log-spaced probe points.
 pub fn mean_curve(results: &[CurveResult], kind: MachineKind, norm: f64) -> Vec<(u64, f64)> {
     let per_app: Vec<&CurveResult> = results.iter().filter(|r| r.kind == kind).collect();
-    if per_app.is_empty() {
+    let Some(max_cycles) = per_app.iter().map(|r| r.cycles).max() else {
         return Vec::new();
-    }
-    let max_cycles = per_app.iter().map(|r| r.cycles).max().unwrap();
+    };
     let mut out = Vec::new();
     let mut c = 1000u64;
     while c <= max_cycles {
@@ -687,10 +690,9 @@ pub fn mean_curve(results: &[CurveResult], kind: MachineKind, norm: f64) -> Vec<
 /// machine.
 pub fn mean_activity_curve(results: &[CurveResult], kind: MachineKind) -> Vec<(u64, f64)> {
     let per_app: Vec<&CurveResult> = results.iter().filter(|r| r.kind == kind).collect();
-    if per_app.is_empty() {
+    let Some(max_cycles) = per_app.iter().map(|r| r.cycles).max() else {
         return Vec::new();
-    }
-    let max_cycles = per_app.iter().map(|r| r.cycles).max().unwrap();
+    };
     let mut out = Vec::new();
     let mut c = 1000u64;
     while c <= max_cycles {

@@ -16,6 +16,10 @@ impl Parser {
     /// On any syntax error, nesting past
     /// `cdvm_stats::json::MAX_DEPTH` or trailing bytes, with the
     /// byte offset of the first problem.
+    #[allow(
+        clippy::panic,
+        reason = "tests parse through this and panic by contract"
+    )]
     pub fn parse(text: &str) -> Json {
         cdvm_stats::json::Parser::try_parse(text).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -61,14 +61,9 @@ pub fn scan_block(
     loop {
         let inst = decoder.decode_at(mem, pc)?;
         let next = pc.wrapping_add(inst.len as u32);
-        let is_terminator = inst.mnemonic.is_cti()
-            || matches!(
-                inst.mnemonic,
-                cdvm_x86::Mnemonic::Hlt | cdvm_x86::Mnemonic::Int3
-            );
         insts.push((pc, inst));
         pc = next;
-        if is_terminator {
+        if inst.mnemonic.ends_block() {
             break;
         }
         if insts.len() >= MAX_BLOCK_INSTS {

@@ -66,7 +66,7 @@ pub mod vm;
 pub use error::{panic_message, RestoreError, VmError, Watchdog};
 pub use faultinj::{FaultInjector, FaultKind, ImageFault, ImageFaultReport, InjectionReport};
 pub use opt::{optimize_run, RunStats};
-pub use pcmap::{CreditMap, PcCounter, PcMap, PcSet};
+pub use pcmap::{CreditMap, PcCounter, PcSet};
 pub use recorder::{
     render_chrome, FlightRecorder, PhaseSegment, RecorderConfig, Telemetry, TelemetryConfig,
     TelemetrySnapshot, WindowSample,

@@ -5,10 +5,12 @@
 //! with SipHash is needlessly slow for u32 keys, so this is a minimal
 //! power-of-two open-addressing table with multiplicative hashing.
 
-/// Map from `u32` keys to `u32` values; key 0 is reserved (never a valid
-/// code address in our layouts).
+/// Map from `u32` keys to `u32` values. Key 0 is the empty-slot marker,
+/// so `get(0)` reads whatever the probe's first empty slot holds; guest
+/// code can sit at address 0, so the map stays private to [`PcSet`] and
+/// [`PcCounter`], which keep key 0 aside.
 #[derive(Debug, Clone)]
-pub struct PcMap {
+pub(crate) struct PcMap {
     keys: Vec<u32>,
     vals: Vec<u32>,
     len: usize,
@@ -36,11 +38,6 @@ impl PcMap {
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     #[inline]
@@ -157,7 +154,7 @@ impl PcMap {
     }
 }
 
-/// Set of `u32` PCs built on [`PcMap`].
+/// Set of `u32` PCs built on the crate's open-addressing `PcMap`.
 ///
 /// Unlike the raw map, key `0` is allowed (held in a side bit): demotion
 /// and blacklist sets must tolerate whatever targets fault-injected or
@@ -307,7 +304,7 @@ impl CreditMap {
     }
 
     /// Adds `delta` to the credit at `pc` (saturating), inserting `delta`
-    /// if absent; mirrors [`PcMap::add`].
+    /// if absent; mirrors `PcMap::add`.
     pub fn add(&mut self, pc: u32, delta: u32) {
         if let Some(i) = self.idx_grow(pc) {
             let s = self.slots[i];
@@ -335,7 +332,7 @@ impl CreditMap {
     }
 }
 
-/// Saturating per-PC hit counter built on [`PcMap`]; key `0` is allowed
+/// Saturating per-PC hit counter built on `PcMap`; key `0` is allowed
 /// via a side counter, for the same reason as [`PcSet`].
 #[derive(Debug, Clone, Default)]
 pub struct PcCounter {
@@ -499,7 +496,7 @@ mod tests {
         let mut m = PcMap::default();
         m.insert(4, 1);
         m.clear();
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         assert_eq!(m.get(4), None);
     }
 

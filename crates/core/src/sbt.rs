@@ -10,7 +10,7 @@
 use cdvm_cracker::{crack, CtiSpec};
 use cdvm_fisa::{can_fuse, regs, ExitCode, Op, SysOp, Uop};
 use cdvm_mem::GuestMem;
-use cdvm_x86::{BranchKind, Decoder, Inst, Width};
+use cdvm_x86::{Decoder, Inst, Mnemonic, Width};
 
 use crate::error::VmError;
 use crate::opt::optimize_run;
@@ -79,24 +79,10 @@ fn form_path(
             }
         };
         let next = pc.wrapping_add(inst.len as u32);
-        match inst.mnemonic.branch_kind() {
-            None => {
-                let terminal = matches!(
-                    inst.mnemonic,
-                    cdvm_x86::Mnemonic::Hlt | cdvm_x86::Mnemonic::Int3
-                );
-                if terminal {
-                    steps.push(SbStep::Final(pc, inst));
-                    break;
-                }
-                steps.push(SbStep::Inst(pc, inst));
-                pc = next;
-            }
-            Some(BranchKind::Conditional) => {
-                let Some(target) = inst.direct_target() else {
-                    steps.push(SbStep::Final(pc, inst));
-                    break;
-                };
+        match inst.mnemonic {
+            Mnemonic::Jcc { target, .. }
+            | Mnemonic::Loop { target }
+            | Mnemonic::Jecxz { target } => {
                 let p = vm.edges.taken_prob(pc);
                 if p >= 0.5 {
                     if target == entry {
@@ -110,11 +96,7 @@ fn form_path(
                     pc = next;
                 }
             }
-            Some(BranchKind::Unconditional) => {
-                let Some(target) = inst.direct_target() else {
-                    steps.push(SbStep::Final(pc, inst));
-                    break;
-                };
+            Mnemonic::Jmp { target } => {
                 if target == entry {
                     steps.push(SbStep::LoopBack(pc, inst));
                     break;
@@ -122,11 +104,7 @@ fn form_path(
                 steps.push(SbStep::Straight(pc, inst));
                 pc = target;
             }
-            Some(BranchKind::Call) => {
-                let Some(target) = inst.direct_target() else {
-                    steps.push(SbStep::Final(pc, inst));
-                    break;
-                };
+            Mnemonic::Call { target } => {
                 if target == entry {
                     steps.push(SbStep::Final(pc, inst));
                     break;
@@ -134,9 +112,14 @@ fn form_path(
                 steps.push(SbStep::Straight(pc, inst));
                 pc = target;
             }
-            Some(BranchKind::Return) | Some(BranchKind::Indirect) => {
+            // Returns, indirect transfers, HLT and INT3.
+            m if m.ends_block() => {
                 steps.push(SbStep::Final(pc, inst));
                 break;
+            }
+            _ => {
+                steps.push(SbStep::Inst(pc, inst));
+                pc = next;
             }
         }
     }

@@ -226,7 +226,11 @@ pub(crate) struct ChainsSection {
     pub sbt_pending: Vec<(u32, Vec<(u32, u64)>)>,
 }
 
-/// Dispatcher sets and decode footprints (each list ascending by pc).
+/// Dispatcher sets and interpreter hotness (each list ascending by pc).
+///
+/// The payload ends with a reserved `(pc, value)` list, written empty.
+/// It once carried per-PC crack widths; the decoder's memo is now their
+/// only cache, so a reader skips whatever an older image stored there.
 #[derive(Debug)]
 pub(crate) struct SetsSection {
     pub demoted: Vec<u32>,
@@ -234,7 +238,6 @@ pub(crate) struct SetsSection {
     pub seen_bbt: Vec<u32>,
     pub candidates: Vec<u32>,
     pub interp_counters: Vec<(u32, u32)>,
-    pub decode_uops: Vec<(u32, u32)>,
 }
 
 /// The VM-state sections (absent on the reference machine).
@@ -398,13 +401,13 @@ fn encode_sets(s: &SetsSection) -> Vec<u8> {
             put_u32(&mut b, pc);
         }
     }
-    for list in [&s.interp_counters, &s.decode_uops] {
-        put_u32(&mut b, list.len() as u32);
-        for &(pc, v) in list.iter() {
-            put_u32(&mut b, pc);
-            put_u32(&mut b, v);
-        }
+    put_u32(&mut b, s.interp_counters.len() as u32);
+    for &(pc, v) in &s.interp_counters {
+        put_u32(&mut b, pc);
+        put_u32(&mut b, v);
     }
+    // The reserved list (see `SetsSection`).
+    put_u32(&mut b, 0);
     b
 }
 
@@ -737,20 +740,17 @@ fn parse_sets(b: &[u8]) -> Result<SetsSection, RestoreError> {
         }
         sets.push(list);
     }
-    let mut maps = Vec::with_capacity(2);
-    for _ in 0..2 {
-        let n = r.count(8)?;
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pc = r.u32()?;
-            let v = r.u32()?;
-            list.push((pc, v));
-        }
-        maps.push(list);
+    let n = r.count(8)?;
+    let mut interp_counters = Vec::with_capacity(n);
+    for _ in 0..n {
+        let pc = r.u32()?;
+        let v = r.u32()?;
+        interp_counters.push((pc, v));
     }
+    // The reserved list: skipped, whatever an older image stored in it.
+    let reserved = r.count(8)?;
+    r.take(reserved * 8)?;
     r.finish()?;
-    let decode_uops = maps.pop().unwrap_or_default();
-    let interp_counters = maps.pop().unwrap_or_default();
     let candidates = sets.pop().unwrap_or_default();
     let seen_bbt = sets.pop().unwrap_or_default();
     let blacklist = sets.pop().unwrap_or_default();
@@ -761,7 +761,6 @@ fn parse_sets(b: &[u8]) -> Result<SetsSection, RestoreError> {
         seen_bbt,
         candidates,
         interp_counters,
-        decode_uops,
     })
 }
 
@@ -1043,7 +1042,6 @@ mod tests {
                 seen_bbt: vec![0x40_0000, 0x40_0010],
                 candidates: vec![],
                 interp_counters: vec![(0x40_0000, 3)],
-                decode_uops: vec![(0x40_0000, 7)],
             },
         };
         encode_image(&img)
@@ -1060,6 +1058,30 @@ mod tests {
         let sets = d.sets.unwrap().unwrap();
         assert_eq!(sets.seen_bbt, vec![0x40_0000, 0x40_0010]);
         assert!(d.bbt_cache.is_none(), "absent sections stay absent");
+    }
+
+    #[test]
+    fn reserved_width_list_is_written_empty_and_skipped_on_read() {
+        let sets = SetsSection {
+            demoted: vec![0x40_0000],
+            blacklist: vec![],
+            seen_bbt: vec![],
+            candidates: vec![],
+            interp_counters: vec![(0x40_0000, 3)],
+        };
+        let mut b = encode_sets(&sets);
+        assert_eq!(b[b.len() - 4..], [0, 0, 0, 0], "written as a zero count");
+        // An older image's crack widths in the reserved list are skipped.
+        b.truncate(b.len() - 4);
+        for v in [2u32, 0x40_0000, 7, 0x40_0002, 3] {
+            put_u32(&mut b, v);
+        }
+        let parsed = parse_sets(&b).unwrap();
+        assert_eq!(parsed.demoted, sets.demoted);
+        assert_eq!(parsed.interp_counters, sets.interp_counters);
+        // A count the payload cannot hold is still malformed.
+        b.truncate(b.len() - 4);
+        assert_eq!(parse_sets(&b).unwrap_err(), RestoreError::Malformed);
     }
 
     #[test]

@@ -20,10 +20,10 @@ use cdvm_cracker::crack;
 use cdvm_fisa::{ExitCode, Executor, NExit, NFault, NativeState};
 use cdvm_mem::{CodeCache, GuestMem, Memory, NativePc};
 use cdvm_uarch::{Bbb, BbbConfig, CycleCat, Cycles, MachineConfig, MachineKind, Timing};
-use cdvm_x86::{BranchKind, Cpu, Fault, Interp};
+use cdvm_x86::{BranchKind, Cpu, Fault, Interp, Mnemonic};
 
 use crate::error::{RestoreError, VmError, Watchdog};
-use crate::pcmap::{PcCounter, PcMap, PcSet};
+use crate::pcmap::{PcCounter, PcSet};
 use crate::profile::{dispatch_slot, COUNTER_BASE, DISPATCH_BASE, DISPATCH_ENTRIES};
 use crate::recorder::{FlightRecorder, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use crate::sbt::translate_sbt;
@@ -101,10 +101,14 @@ pub struct SystemStats {
     pub inexact_fault_recoveries: u64,
     /// Resource watchdogs that tripped (at most one per run).
     pub watchdog_trips: u64,
-    /// x86-mode instructions whose dispatch-slot demand fell back to one
-    /// slot because the cracker has no rule for them. A timing-model
+    /// x86-mode instruction decodes whose dispatch-slot demand fell back
+    /// to one slot because the cracker could not crack them, counted once
+    /// per decoded instruction per decoder generation. A timing-model
     /// blind spot, not an execution error: the instruction already
-    /// retired architecturally. The first occurrence also emits a
+    /// retired architecturally. The only crack failure left is
+    /// temporary-register exhaustion, which no decoded form reaches (the
+    /// cracker's form sweep checks every one), so this stays 0; it is
+    /// kept as an exported metric. The first occurrence also emits a
     /// [`TraceEvent::UncrackableInst`].
     pub uncrackable_insts: u64,
     /// Warm-image restores applied (fully or degraded).
@@ -150,14 +154,6 @@ pub struct System {
     sbt_base: u32,
     pending_evict: bool,
     sbt_gen_seen: u64,
-    /// x86-mode dispatch width (the hardware decoder's crack width) per
-    /// retired PC. Grows with the x86-mode footprint; only the Ref and
-    /// VM.fe machines retire in x86 mode, so the others never fill it.
-    decode_uops: PcMap,
-    /// The [`Memory::code_version`] every `decode_uops` width was cracked
-    /// under. A store to a fetched code page bumps the memory's version,
-    /// and the widths are dropped before the next one is read or saved.
-    decode_uops_version: u64,
     interp_counters: PcCounter,
     /// Blocks that failed BBT translation: they execute through the
     /// interpreter instead (degradation ladder, see DESIGN.md).
@@ -242,7 +238,6 @@ impl System {
         let sbt_base = vm
             .as_ref()
             .map_or(u32::MAX, |vm| vm.sbt_cache.config().base);
-        let decode_uops_version = mem.code_version();
         let mut sys = System {
             kind,
             cfg,
@@ -262,8 +257,6 @@ impl System {
             sbt_base,
             pending_evict: false,
             sbt_gen_seen: 0,
-            decode_uops: PcMap::default(),
-            decode_uops_version,
             interp_counters: PcCounter::new(),
             demoted: PcSet::new(),
             sbt_blacklist: PcSet::new(),
@@ -625,8 +618,6 @@ impl System {
                 let timing = &mut self.timing;
                 let stats = &mut self.stats;
                 let x86_retired = &mut self.x86_retired;
-                let decode_uops = &mut self.decode_uops;
-                let decode_uops_version = &mut self.decode_uops_version;
                 let mut vm = self.vm.as_mut();
                 let mut bbb = self.bbb.as_mut();
                 let interp_counters = &mut self.interp_counters;
@@ -656,11 +647,13 @@ impl System {
                 let res = self.interp.step_batch(
                     &mut self.cpu,
                     &mut self.mem,
-                    &mut |r, uop_memo, code_version| {
+                    &mut |r, uop_memo| {
                         // A REP string instruction retires once
                         // architecturally; its iterations are microcode
                         // (each still pays its timing below).
-                        let mid_rep_iteration = r.inst.rep && r.next_pc == r.pc;
+                        let mid_rep_iteration =
+                            matches!(r.inst.mnemonic, Mnemonic::Str { rep: true, .. })
+                                && r.next_pc == r.pc;
                         if interp_tier {
                             pending_raw += timing.charge_interp_inst_cost(r).raw();
                             if !mid_rep_iteration {
@@ -670,42 +663,29 @@ impl System {
                             // Dispatch-slot demand of the instruction
                             // (the hardware decoder's crack width),
                             // memoized in the decoded-inst arena: one
-                            // fill per decoded instruction per decoder
-                            // generation, then a direct-indexed read.
+                            // crack per decoded instruction per decoder
+                            // generation, then a direct-indexed read. A
+                            // store into fetched code clears the decoder
+                            // and the memo with it.
                             let uops = match *uop_memo {
                                 0 => {
-                                    if code_version != *decode_uops_version {
-                                        // Self-modifying code: any width
-                                        // may describe overwritten bytes.
-                                        decode_uops.clear();
-                                        *decode_uops_version = code_version;
-                                    }
-                                    let n = match decode_uops.get(r.pc) {
-                                        Some(n) => n,
-                                        None => {
-                                            let n = match crack(&r.inst, r.pc) {
-                                                Ok(c) => (c.uops.len() as u32
-                                                    + u32::from(c.cti.is_some()))
-                                                .max(1),
-                                                Err(_) => {
-                                                    // Timing blind spot: it
-                                                    // executed architecturally
-                                                    // but has no crack rule.
-                                                    stats.uncrackable_insts += 1;
-                                                    if stats.uncrackable_insts == 1 {
-                                                        if let Some(vm) = vm.as_deref_mut() {
-                                                            vm.trace.record(
-                                                                TraceEvent::UncrackableInst {
-                                                                    pc: r.pc,
-                                                                },
-                                                            );
-                                                        }
-                                                    }
-                                                    1
+                                    let n = match crack(&r.inst, r.pc) {
+                                        Ok(c) => (c.uops.len() as u32
+                                            + u32::from(c.cti.is_some()))
+                                        .max(1),
+                                        Err(_) => {
+                                            // Timing blind spot: it executed
+                                            // architecturally but did not
+                                            // crack.
+                                            stats.uncrackable_insts += 1;
+                                            if stats.uncrackable_insts == 1 {
+                                                if let Some(vm) = vm.as_deref_mut() {
+                                                    vm.trace.record(
+                                                        TraceEvent::UncrackableInst { pc: r.pc },
+                                                    );
                                                 }
-                                            };
-                                            decode_uops.insert(r.pc, n);
-                                            n
+                                            }
+                                            1
                                         }
                                     };
                                     *uop_memo = n;
@@ -1518,14 +1498,6 @@ impl System {
         blacklist.sort_unstable();
         let mut interp_counters: Vec<(u32, u32)> = self.interp_counters.iter().collect();
         interp_counters.sort_unstable();
-        // Widths cracked before a store to a code page may be stale.
-        let widths_current = self.mem.code_version() == self.decode_uops_version;
-        let mut decode_uops: Vec<(u32, u32)> = if widths_current {
-            self.decode_uops.iter().collect()
-        } else {
-            Vec::new()
-        };
-        decode_uops.sort_unstable();
         let (seen_bbt, candidates) = self.vm.as_ref().map_or_else(
             || (Vec::new(), Vec::new()),
             |vm| (vm.export_seen_bbt(), vm.export_profile_candidates()),
@@ -1536,7 +1508,6 @@ impl System {
             seen_bbt,
             candidates,
             interp_counters,
-            decode_uops,
         };
         let mut code = None;
         let mut edges = None;
@@ -1873,13 +1844,6 @@ impl System {
         }
         for &(pc, v) in &s.interp_counters {
             self.interp_counters.set(pc, v);
-        }
-        for &(pc, v) in &s.decode_uops {
-            // PC 0 is the map's reserved empty key; a crafted image could
-            // carry it, a genuine save never does.
-            if pc != 0 {
-                self.decode_uops.insert(pc, v);
-            }
         }
         if let Some(vm) = self.vm.as_mut() {
             vm.import_seen_bbt(&s.seen_bbt);

@@ -189,8 +189,8 @@ pub enum TraceEvent {
         /// Why the image was rejected.
         error: crate::error::RestoreError,
     },
-    /// The x86-mode timing path met an instruction the cracker has no
-    /// rule for and fell back to charging one dispatch slot. Emitted
+    /// The x86-mode timing path met an instruction the cracker could not
+    /// crack and fell back to charging one dispatch slot. Emitted
     /// once per run (the first occurrence; `stats.uncrackable_insts`
     /// counts them all) so the timing-model blind spot is visible
     /// instead of silent. Execution itself is unaffected — the

@@ -1,7 +1,9 @@
 //! The cracking tables: one x86 instruction → micro-op sequence.
 
 use cdvm_fisa::{regs, Op, SysOp, Uop};
-use cdvm_x86::{AluOp, Cond, Gpr, Inst, MemRef, Mnemonic, Operand, ShiftOp, Width};
+use cdvm_x86::{
+    AluOp, Cond, Gpr, Inst, MemRef, Mnemonic, Operand, Rm, ShiftCount, ShiftOp, StrOp, Width,
+};
 
 /// Symbolic description of an instruction's final control transfer.
 ///
@@ -58,7 +60,7 @@ pub enum CtiSpec {
     /// translator wraps it in an ECX-counted microcode loop.
     Rep {
         /// Which string operation (for diagnostics).
-        kind: RepKind,
+        kind: StrOp,
     },
     /// `HLT`.
     Halt,
@@ -67,17 +69,6 @@ pub enum CtiSpec {
         /// Trap code.
         code: u8,
     },
-}
-
-/// String-instruction kind under a `REP` prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepKind {
-    /// `MOVS`.
-    Movs,
-    /// `STOS`.
-    Stos,
-    /// `LODS`.
-    Lods,
 }
 
 /// The result of cracking one instruction.
@@ -101,32 +92,16 @@ impl Cracked {
 
 /// A structural failure while cracking one instruction.
 ///
-/// These arise from malformed [`Inst`] values — operands a decoder bug or
-/// a corrupted decoded-instruction cache could produce — and from the
-/// bounded temporary register file overflowing. They are *not*
-/// architectural faults: callers demote the instruction (hardware punts
-/// to software, translators fall back to the interpreter) rather than
-/// raising a guest-visible exception.
+/// Every operand shape an [`Inst`] can hold cracks; the one limit left is
+/// the bounded temporary register file. An exhaustive sweep of the
+/// decoder's forms (the `form_sweep` test) finds no decoded instruction
+/// that reaches it. It is *not* an architectural fault: callers demote
+/// the instruction (hardware punts to software, translators fall back to
+/// the interpreter) rather than raising a guest-visible exception.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrackError {
-    /// The instruction is missing an operand its mnemonic requires.
-    MissingOperand {
-        /// Address of the instruction.
-        pc: u32,
-    },
-    /// A direct-branch mnemonic without a resolvable direct target.
-    MissingTarget {
-        /// Address of the instruction.
-        pc: u32,
-    },
     /// The cracking-temporary file (R8–R15) overflowed.
     TempsExhausted {
-        /// Address of the instruction.
-        pc: u32,
-    },
-    /// An operand shape the mnemonic cannot accept (e.g. an immediate
-    /// destination or a memory-sourced shift count).
-    BadOperand {
         /// Address of the instruction.
         pc: u32,
     },
@@ -136,10 +111,7 @@ impl CrackError {
     /// Address of the instruction that failed to crack.
     pub fn pc(&self) -> u32 {
         match *self {
-            CrackError::MissingOperand { pc }
-            | CrackError::MissingTarget { pc }
-            | CrackError::TempsExhausted { pc }
-            | CrackError::BadOperand { pc } => pc,
+            CrackError::TempsExhausted { pc } => pc,
         }
     }
 }
@@ -147,17 +119,8 @@ impl CrackError {
 impl std::fmt::Display for CrackError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CrackError::MissingOperand { pc } => {
-                write!(f, "missing operand cracking instruction at {pc:#x}")
-            }
-            CrackError::MissingTarget { pc } => {
-                write!(f, "missing direct target cracking instruction at {pc:#x}")
-            }
             CrackError::TempsExhausted { pc } => {
                 write!(f, "cracking temporaries exhausted at {pc:#x}")
-            }
-            CrackError::BadOperand { pc } => {
-                write!(f, "malformed operand cracking instruction at {pc:#x}")
             }
         }
     }
@@ -165,23 +128,13 @@ impl std::fmt::Display for CrackError {
 
 impl std::error::Error for CrackError {}
 
-/// Unwraps an operand slot a mnemonic requires.
-fn need(op: Option<Operand>, pc: u32) -> Result<Operand, CrackError> {
-    op.ok_or(CrackError::MissingOperand { pc })
-}
-
-/// Unwraps the direct target of a direct-branch mnemonic.
-fn need_target(inst: &Inst, pc: u32) -> Result<u32, CrackError> {
-    inst.direct_target().ok_or(CrackError::MissingTarget { pc })
-}
-
 /// Micro-op emission context: collects micro-ops and allocates the
 /// cracking temporaries R8–R15.
 ///
 /// Rather than threading `Result` through every helper, the context
-/// *accumulates* the first structural failure; [`crack`] checks it once
-/// at the end. Emission after a failure is harmless — the uops are
-/// discarded with the error.
+/// records temporary exhaustion; [`crack`] checks it once at the end.
+/// Emission after a failure is harmless — the uops are discarded with
+/// the error.
 struct E {
     uops: Vec<Uop>,
     tmp: u8,
@@ -368,9 +321,9 @@ impl E {
     }
 
     /// Writes `val` to the operand at width `w` (deposits for partials).
-    fn write(&mut self, op: Operand, w: Width, val: u8) {
+    fn write(&mut self, op: Rm, w: Width, val: u8) {
         match op {
-            Operand::Reg(r) => {
+            Rm::Reg(r) => {
                 let n = r.num();
                 match w {
                     Width::W32 => {
@@ -388,10 +341,7 @@ impl E {
                     }
                 }
             }
-            Operand::Mem(m) => self.store(w, m, val),
-            Operand::Imm(_) => {
-                self.failed.get_or_insert(CrackError::BadOperand { pc: self.pc });
-            }
+            Rm::Mem(m) => self.store(w, m, val),
         }
     }
 
@@ -402,6 +352,18 @@ impl E {
             FlagSrc::Reg(r) => self.push(Uop::alu(op, rd, rs1, r).with_flags(w)),
             FlagSrc::Imm(i) => self.push(Uop::alui(op, rd, rs1, i).with_flags(w)),
         }
+    }
+
+    /// Truncating signed multiply `dst = a * b` (flags from the widening
+    /// product).
+    fn imul_trunc(&mut self, w: Width, dst: Gpr, a: u8, b: u8) {
+        let lo = self.t();
+        let hi = self.t();
+        let mut u = Uop::alu(Op::MulLo, lo, a, b);
+        u.w = w;
+        self.push(u);
+        self.push(Uop::alu(Op::MulHiS, hi, a, b).with_flags(w));
+        self.write(Rm::Reg(dst), w, lo);
     }
 
     /// Resolves an operand into a flag-ALU source, materialising large
@@ -453,8 +415,7 @@ fn shift_op(op: ShiftOp) -> Op {
 ///
 /// # Errors
 ///
-/// Returns a [`CrackError`] when the instruction is structurally
-/// malformed (missing or impossible operands) or exhausts the cracking
+/// Returns a [`CrackError`] when the instruction exhausts the cracking
 /// temporaries. Callers are expected to *demote*: the hardware assists
 /// punt to software and the translators leave the instruction to the
 /// interpreter.
@@ -465,47 +426,35 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
     let mut cti = None;
 
     match inst.mnemonic {
-        Mnemonic::Mov => {
-            let dst = need(inst.dst, pc)?;
-            let src = need(inst.src, pc)?;
-            match (dst, src, w) {
-                (Operand::Reg(r), Operand::Imm(i), Width::W32) => {
-                    e.limm(r.num(), i as u32);
-                }
-                (Operand::Reg(rd), Operand::Reg(rs), Width::W32) => {
-                    e.push(Uop::alu(Op::Mov, rd.num(), rd.num(), rs.num()));
-                }
-                (Operand::Reg(rd), Operand::Mem(m), Width::W32) => {
-                    e.load_into(Width::W32, rd.num(), m);
-                }
-                _ => {
-                    let v = e.read_val(src, w);
-                    e.write(dst, w, v);
-                }
+        Mnemonic::Mov { dst, src } => match (dst, src, w) {
+            (Rm::Reg(r), Operand::Imm(i), Width::W32) => {
+                e.limm(r.num(), i as u32);
             }
-        }
-        Mnemonic::Movzx(sw) => {
-            let v = e.read_val(need(inst.src, pc)?, sw);
+            (Rm::Reg(rd), Operand::Reg(rs), Width::W32) => {
+                e.push(Uop::alu(Op::Mov, rd.num(), rd.num(), rs.num()));
+            }
+            (Rm::Reg(rd), Operand::Mem(m), Width::W32) => {
+                e.load_into(Width::W32, rd.num(), m);
+            }
+            _ => {
+                let v = e.read_val(src, w);
+                e.write(dst, w, v);
+            }
+        },
+        Mnemonic::Movzx { from, dst, src } | Mnemonic::Movsx { from, dst, src } => {
+            let v = e.read_val(src.into(), from);
             let t = e.t();
-            let op = if sw == Width::W8 { Op::Zext8 } else { Op::Zext16 };
-            e.push(Uop::alui(op, t, v, 0));
-            e.write(need(inst.dst, pc)?, w, t);
-        }
-        Mnemonic::Movsx(sw) => {
-            let v = e.read_val(need(inst.src, pc)?, sw);
-            let t = e.t();
-            let op = if sw == Width::W8 { Op::Sext8 } else { Op::Sext16 };
-            e.push(Uop::alui(op, t, v, 0));
-            e.write(need(inst.dst, pc)?, w, t);
-        }
-        Mnemonic::Lea => {
-            let Some(Operand::Mem(m)) = inst.src else {
-                return Err(CrackError::BadOperand { pc });
+            let op = match (inst.mnemonic, from) {
+                (Mnemonic::Movzx { .. }, Width::W8) => Op::Zext8,
+                (Mnemonic::Movzx { .. }, _) => Op::Zext16,
+                (_, Width::W8) => Op::Sext8,
+                _ => Op::Sext16,
             };
-            let Some(Operand::Reg(rd)) = inst.dst else {
-                return Err(CrackError::BadOperand { pc });
-            };
-            let rd = rd.num();
+            e.push(Uop::alui(op, t, v, 0));
+            e.write(Rm::Reg(dst), w, t);
+        }
+        Mnemonic::Lea { dst, addr: m } => {
+            let rd = dst.num();
             match (m.base, m.index) {
                 (Some(b), None) => e.add_imm(rd, b.num(), m.disp),
                 (None, None) => e.limm(rd, m.disp as u32),
@@ -529,120 +478,106 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
                 }
             }
         }
-        Mnemonic::Xchg => {
-            let a = need(inst.dst, pc)?;
-            let b = need(inst.src, pc)?;
-            match (a, b, w) {
-                (Operand::Reg(ra), Operand::Reg(rb), Width::W32) => {
-                    let t = e.t();
-                    e.push(Uop::alu(Op::Mov, t, t, ra.num()));
-                    e.push(Uop::alu(Op::Mov, ra.num(), ra.num(), rb.num()));
-                    e.push(Uop::alu(Op::Mov, rb.num(), rb.num(), t));
-                }
-                _ => {
-                    let va = e.read_val(a, w);
-                    let t = e.t();
-                    e.push(Uop::alu(Op::Mov, t, t, va));
-                    let vb = e.read_val(b, w);
-                    e.write(a, w, vb);
-                    e.write(b, w, t);
-                }
+        Mnemonic::Xchg { dst, src } => match (dst, w) {
+            (Rm::Reg(ra), Width::W32) => {
+                let t = e.t();
+                e.push(Uop::alu(Op::Mov, t, t, ra.num()));
+                e.push(Uop::alu(Op::Mov, ra.num(), ra.num(), src.num()));
+                e.push(Uop::alu(Op::Mov, src.num(), src.num(), t));
             }
-        }
-        Mnemonic::Push => {
-            let v = e.read_val(need(inst.src, pc)?, Width::W32);
+            _ => {
+                let va = e.read_val(dst.into(), w);
+                let t = e.t();
+                e.push(Uop::alu(Op::Mov, t, t, va));
+                let vb = e.read_val(Operand::Reg(src), w);
+                e.write(dst, w, vb);
+                e.write(Rm::Reg(src), w, t);
+            }
+        },
+        Mnemonic::Push { src } => {
+            let v = e.read_val(src, Width::W32);
             e.push(Uop::st(Width::W32, v, regs::ESP, -4));
             e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, -4));
         }
-        Mnemonic::Pop => {
-            let dst = need(inst.dst, pc)?;
-            match dst {
-                Operand::Reg(r) if r != Gpr::Esp => {
-                    e.push(Uop::ld(Width::W32, r.num(), regs::ESP, 0));
-                    e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, 4));
-                }
-                _ => {
-                    let t = e.t();
-                    e.push(Uop::ld(Width::W32, t, regs::ESP, 0));
-                    e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, 4));
-                    e.write(dst, Width::W32, t);
-                }
+        Mnemonic::Pop { dst } => match dst {
+            Rm::Reg(r) if r != Gpr::Esp => {
+                e.push(Uop::ld(Width::W32, r.num(), regs::ESP, 0));
+                e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, 4));
             }
-        }
-        Mnemonic::Alu(op) => {
-            let dst = need(inst.dst, pc)?;
-            let src = need(inst.src, pc)?;
+            _ => {
+                let t = e.t();
+                e.push(Uop::ld(Width::W32, t, regs::ESP, 0));
+                e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, 4));
+                e.write(dst, Width::W32, t);
+            }
+        },
+        Mnemonic::Alu { op, dst, src } => {
             let nop = alu_op(op);
             if op == AluOp::Cmp || op == AluOp::Test {
-                let a = e.read_val(dst, w);
+                let a = e.read_val(dst.into(), w);
                 let b = e.flag_src(src, w);
                 e.aluf(nop, w, 0, a, b);
             } else {
                 match dst {
-                    Operand::Reg(r) if w == Width::W32 => {
+                    Rm::Reg(r) if w == Width::W32 => {
                         let b = e.flag_src(src, w);
                         e.aluf(nop, w, r.num(), r.num(), b);
                     }
-                    Operand::Reg(_) => {
-                        let a = e.read_val(dst, w);
+                    Rm::Reg(_) => {
+                        let a = e.read_val(dst.into(), w);
                         let b = e.flag_src(src, w);
                         let t = e.t();
                         e.aluf(nop, w, t, a, b);
                         e.write(dst, w, t);
                     }
-                    Operand::Mem(m) => {
+                    Rm::Mem(m) => {
                         let b = e.flag_src(src, w);
                         let a = e.load(w, m);
                         let t = e.t();
                         e.aluf(nop, w, t, a, b);
                         e.store(w, m, t);
                     }
-                    Operand::Imm(_) => return Err(CrackError::BadOperand { pc }),
                 }
             }
         }
-        Mnemonic::Inc | Mnemonic::Dec | Mnemonic::Neg => {
+        Mnemonic::Inc { dst } | Mnemonic::Dec { dst } | Mnemonic::Neg { dst } => {
             let op = match inst.mnemonic {
-                Mnemonic::Inc => Op::IncF,
-                Mnemonic::Dec => Op::DecF,
+                Mnemonic::Inc { .. } => Op::IncF,
+                Mnemonic::Dec { .. } => Op::DecF,
                 _ => Op::Neg,
             };
-            let dst = need(inst.dst, pc)?;
             match dst {
-                Operand::Reg(r) if w == Width::W32 => {
+                Rm::Reg(r) if w == Width::W32 => {
                     let mut u = Uop::alui(op, r.num(), r.num(), 0).with_flags(w);
                     u.set_flags = true;
                     e.push(u);
                 }
                 _ => {
-                    let a = e.read_val(dst, w);
+                    let a = e.read_val(dst.into(), w);
                     let t = e.t();
                     e.push(Uop::alui(op, t, a, 0).with_flags(w));
                     e.write(dst, w, t);
                 }
             }
         }
-        Mnemonic::Not => {
-            let dst = need(inst.dst, pc)?;
-            match dst {
-                Operand::Reg(r) if w == Width::W32 => {
-                    e.push(Uop::alui(Op::Not, r.num(), r.num(), 0));
-                }
-                _ => {
-                    let a = e.read_val(dst, w);
-                    let t = e.t();
-                    e.push(Uop::alui(Op::Not, t, a, 0));
-                    e.write(dst, w, t);
-                }
+        Mnemonic::Not { dst } => match dst {
+            Rm::Reg(r) if w == Width::W32 => {
+                e.push(Uop::alui(Op::Not, r.num(), r.num(), 0));
             }
-        }
-        Mnemonic::Mul | Mnemonic::ImulWide => {
-            let hi_op = if inst.mnemonic == Mnemonic::Mul {
+            _ => {
+                let a = e.read_val(dst.into(), w);
+                let t = e.t();
+                e.push(Uop::alui(Op::Not, t, a, 0));
+                e.write(dst, w, t);
+            }
+        },
+        Mnemonic::Mul { src } | Mnemonic::ImulWide { src } => {
+            let hi_op = if matches!(inst.mnemonic, Mnemonic::Mul { .. }) {
                 Op::MulHiU
             } else {
                 Op::MulHiS
             };
-            let b = e.read_val(need(inst.dst, pc)?, w);
+            let b = e.read_val(src.into(), w);
             let lo = e.t();
             let hi = e.t();
             let mut u = Uop::alu(Op::MulLo, lo, regs::EAX, b);
@@ -667,36 +602,24 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
                 }
             }
         }
-        Mnemonic::Imul => {
-            let (a, b) = match inst.src2 {
-                Some(Operand::Imm(i)) => {
-                    let a = e.read_val(need(inst.src, pc)?, w);
-                    let t = e.t();
-                    e.limm(t, i as u32);
-                    (a, t)
-                }
-                _ => {
-                    let a = e.read_val(need(inst.dst, pc)?, w);
-                    let b = e.read_val(need(inst.src, pc)?, w);
-                    (a, b)
-                }
-            };
-            let lo = e.t();
-            let hi = e.t();
-            let mut u = Uop::alu(Op::MulLo, lo, a, b);
-            u.w = w;
-            e.push(u);
-            // flags come from the widening-compare semantics
-            e.push(Uop::alu(Op::MulHiS, hi, a, b).with_flags(w));
-            e.write(need(inst.dst, pc)?, w, lo);
+        Mnemonic::Imul { dst, src } => {
+            let a = e.read_val(Operand::Reg(dst), w);
+            let b = e.read_val(src.into(), w);
+            e.imul_trunc(w, dst, a, b);
         }
-        Mnemonic::Div | Mnemonic::Idiv => {
-            let (qop, rop) = if inst.mnemonic == Mnemonic::Div {
+        Mnemonic::ImulImm { dst, src, imm } => {
+            let a = e.read_val(src.into(), w);
+            let b = e.t();
+            e.limm(b, imm as u32);
+            e.imul_trunc(w, dst, a, b);
+        }
+        Mnemonic::Div { src } | Mnemonic::Idiv { src } => {
+            let (qop, rop) = if matches!(inst.mnemonic, Mnemonic::Div { .. }) {
                 (Op::DivQ, Op::DivR)
             } else {
                 (Op::IDivQ, Op::IDivR)
             };
-            let d = e.read_val(need(inst.dst, pc)?, w);
+            let d = e.read_val(src.into(), w);
             let q = e.t();
             let r = e.t();
             let mut uq = Uop::alu(qop, q, d, regs::VMM_SP);
@@ -720,86 +643,71 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
                 }
             }
         }
-        Mnemonic::Shift(op) => {
+        Mnemonic::Shift { op, dst, count } => {
             let nop = shift_op(op);
-            let dst = need(inst.dst, pc)?;
-            let count = match need(inst.src, pc)? {
-                Operand::Imm(i) => FlagSrc::Imm(i & 31),
-                Operand::Reg(_) => FlagSrc::Reg(regs::ECX),
-                Operand::Mem(_) => return Err(CrackError::BadOperand { pc }),
+            let count = match count {
+                ShiftCount::Imm(c) => FlagSrc::Imm(i32::from(c) & 31),
+                ShiftCount::Cl => FlagSrc::Reg(regs::ECX),
             };
             match dst {
-                Operand::Reg(r) if w == Width::W32 => {
+                Rm::Reg(r) if w == Width::W32 => {
                     e.aluf(nop, w, r.num(), r.num(), count);
                 }
                 _ => {
-                    let a = e.read_val(dst, w);
+                    let a = e.read_val(dst.into(), w);
                     let t = e.t();
                     e.aluf(nop, w, t, a, count);
                     e.write(dst, w, t);
                 }
             }
         }
-        Mnemonic::Jcc(cond) => {
-            cti = Some(CtiSpec::CondFlags {
-                cond,
-                target: need_target(inst, pc)?,
-                fall,
-            });
+        Mnemonic::Jcc { cond, target } => {
+            cti = Some(CtiSpec::CondFlags { cond, target, fall });
         }
-        Mnemonic::Jmp => {
-            cti = Some(CtiSpec::Direct {
-                target: need_target(inst, pc)?,
-            });
+        Mnemonic::Jmp { target } => {
+            cti = Some(CtiSpec::Direct { target });
         }
-        Mnemonic::JmpInd => {
-            let t = e.read_val(need(inst.src, pc)?, Width::W32);
+        Mnemonic::JmpInd { target } => {
+            let t = e.read_val(target.into(), Width::W32);
             cti = Some(CtiSpec::Indirect { reg: t });
         }
-        Mnemonic::Call => {
+        Mnemonic::Call { target } => {
             let t = e.t();
             e.limm(t, fall);
             e.push(Uop::st(Width::W32, t, regs::ESP, -4));
             e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, -4));
-            cti = Some(CtiSpec::DirectCall {
-                target: need_target(inst, pc)?,
-                fall,
-            });
+            cti = Some(CtiSpec::DirectCall { target, fall });
         }
-        Mnemonic::CallInd => {
-            let target = e.read_val(need(inst.src, pc)?, Width::W32);
+        Mnemonic::CallInd { target } => {
+            let target = e.read_val(target.into(), Width::W32);
             let t = e.t();
             e.limm(t, fall);
             e.push(Uop::st(Width::W32, t, regs::ESP, -4));
             e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, -4));
             cti = Some(CtiSpec::Indirect { reg: target });
         }
-        Mnemonic::Ret => {
+        Mnemonic::Ret { pop } => {
             let t = e.t();
             e.push(Uop::ld(Width::W32, t, regs::ESP, 0));
-            let pop = 4 + match inst.src {
-                Some(Operand::Imm(n)) => n,
-                _ => 0,
-            };
-            e.add_imm(regs::ESP, regs::ESP, pop);
+            e.add_imm(regs::ESP, regs::ESP, 4 + i32::from(pop));
             cti = Some(CtiSpec::Indirect { reg: t });
         }
-        Mnemonic::Loop => {
+        Mnemonic::Loop { target } => {
             e.push(Uop::alui(Op::Add, regs::ECX, regs::ECX, -1));
             cti = Some(CtiSpec::CondNz {
                 reg: regs::ECX,
-                target: need_target(inst, pc)?,
+                target,
                 fall,
             });
         }
-        Mnemonic::Jecxz => {
+        Mnemonic::Jecxz { target } => {
             cti = Some(CtiSpec::CondZ {
                 reg: regs::ECX,
-                target: need_target(inst, pc)?,
+                target,
                 fall,
             });
         }
-        Mnemonic::Setcc(cond) => {
+        Mnemonic::Setcc { cond, dst } => {
             let t = e.t();
             e.push(Uop {
                 op: Op::Setcc(cond),
@@ -811,38 +719,36 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
                 set_flags: false,
                 fusible: false,
             });
-            e.write(need(inst.dst, pc)?, Width::W8, t);
+            e.write(dst, Width::W8, t);
         }
-        Mnemonic::Cmovcc(cond) => {
-            let v = e.read_val(need(inst.src, pc)?, w);
-            match need(inst.dst, pc)? {
-                Operand::Reg(r) if w == Width::W32 => {
-                    e.push(Uop {
-                        op: Op::Cmovcc(cond),
-                        rd: r.num(),
-                        rs1: r.num(),
-                        rs2: v,
-                        imm: 0,
-                        w: Width::W32,
-                        set_flags: false,
-                        fusible: false,
-                    });
-                }
-                dst => {
-                    let cur = e.read_val(dst, w);
-                    let t = e.t();
-                    e.push(Uop {
-                        op: Op::Cmovcc(cond),
-                        rd: t,
-                        rs1: cur,
-                        rs2: v,
-                        imm: 0,
-                        w: Width::W32,
-                        set_flags: false,
-                        fusible: false,
-                    });
-                    e.write(dst, w, t);
-                }
+        Mnemonic::Cmovcc { cond, dst, src } => {
+            let v = e.read_val(src.into(), w);
+            let r = dst.num();
+            if w == Width::W32 {
+                e.push(Uop {
+                    op: Op::Cmovcc(cond),
+                    rd: r,
+                    rs1: r,
+                    rs2: v,
+                    imm: 0,
+                    w: Width::W32,
+                    set_flags: false,
+                    fusible: false,
+                });
+            } else {
+                let cur = e.read_val(Operand::Reg(dst), w);
+                let t = e.t();
+                e.push(Uop {
+                    op: Op::Cmovcc(cond),
+                    rd: t,
+                    rs1: cur,
+                    rs2: v,
+                    imm: 0,
+                    w: Width::W32,
+                    set_flags: false,
+                    fusible: false,
+                });
+                e.write(Rm::Reg(dst), w, t);
             }
         }
         Mnemonic::Cwde => {
@@ -866,8 +772,11 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
         }
         Mnemonic::Cld => e.push(Uop::alui(Op::Sys(SysOp::Cld), 0, 0, 0)),
         Mnemonic::Std => e.push(Uop::alui(Op::Sys(SysOp::Std), 0, 0, 0)),
-        Mnemonic::Movs | Mnemonic::Stos | Mnemonic::Lods => {
-            crack_string(&mut e, inst, &mut cti);
+        Mnemonic::Str { op, rep } => {
+            crack_string(&mut e, op, w);
+            if rep {
+                cti = Some(CtiSpec::Rep { kind: op });
+            }
         }
         Mnemonic::Pusha => {
             let order = [
@@ -901,14 +810,11 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
             }
             e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, 32));
         }
-        Mnemonic::Enter => {
-            let Some(Operand::Imm(frame)) = inst.src else {
-                return Err(CrackError::BadOperand { pc });
-            };
+        Mnemonic::Enter { frame, .. } => {
             e.push(Uop::st(Width::W32, regs::EBP, regs::ESP, -4));
             e.push(Uop::alui(Op::Add, regs::ESP, regs::ESP, -4));
             e.push(Uop::alu(Op::Mov, regs::EBP, regs::EBP, regs::ESP));
-            e.add_imm(regs::ESP, regs::ESP, -frame);
+            e.add_imm(regs::ESP, regs::ESP, -i32::from(frame));
         }
         Mnemonic::Leave => {
             e.push(Uop::alu(Op::Mov, regs::ESP, regs::ESP, regs::EBP));
@@ -942,8 +848,7 @@ pub fn crack(inst: &Inst, pc: u32) -> Result<Cracked, CrackError> {
 }
 
 /// One iteration of a string instruction, with runtime DF handling.
-fn crack_string(e: &mut E, inst: &Inst, cti: &mut Option<CtiSpec>) {
-    let w = inst.width;
+fn crack_string(e: &mut E, op: StrOp, w: Width) {
     let bytes = w.bytes() as i32;
     // step = bytes - 2*bytes*DF
     let t_df = e.t();
@@ -953,19 +858,19 @@ fn crack_string(e: &mut E, inst: &Inst, cti: &mut Option<CtiSpec>) {
     e.push(Uop::alui(Op::Limm, t_step, 0, bytes));
     e.push(Uop::alu(Op::Sub, t_step, t_step, t_df));
 
-    match inst.mnemonic {
-        Mnemonic::Movs => {
+    match op {
+        StrOp::Movs => {
             let v = e.t();
             e.push(Uop::ld(w, v, regs::ESI, 0));
             e.push(Uop::st(w, v, regs::EDI, 0));
             e.push(Uop::alu(Op::Add, regs::ESI, regs::ESI, t_step));
             e.push(Uop::alu(Op::Add, regs::EDI, regs::EDI, t_step));
         }
-        Mnemonic::Stos => {
+        StrOp::Stos => {
             e.push(Uop::st(w, regs::EAX, regs::EDI, 0));
             e.push(Uop::alu(Op::Add, regs::EDI, regs::EDI, t_step));
         }
-        Mnemonic::Lods => {
+        StrOp::Lods => {
             let v = e.t();
             e.push(Uop::ld(w, v, regs::ESI, 0));
             match w {
@@ -975,16 +880,6 @@ fn crack_string(e: &mut E, inst: &Inst, cti: &mut Option<CtiSpec>) {
             }
             e.push(Uop::alu(Op::Add, regs::ESI, regs::ESI, t_step));
         }
-        _ => unreachable!(),
-    }
-
-    if inst.rep {
-        let kind = match inst.mnemonic {
-            Mnemonic::Movs => RepKind::Movs,
-            Mnemonic::Stos => RepKind::Stos,
-            _ => RepKind::Lods,
-        };
-        *cti = Some(CtiSpec::Rep { kind });
     }
 }
 
@@ -1089,7 +984,7 @@ mod tests {
     fn rep_movs_is_complex_with_rep_cti() {
         let c = crack_one(|a| a.movs(Width::W32, true));
         assert!(c.complex);
-        assert!(matches!(c.cti, Some(CtiSpec::Rep { kind: RepKind::Movs })));
+        assert!(matches!(c.cti, Some(CtiSpec::Rep { kind: StrOp::Movs })));
         assert!(c.uops.iter().any(|u| matches!(u.op, Op::RdDf)));
     }
 
@@ -1134,25 +1029,6 @@ mod tests {
             assert!(c.uops.len() <= 4);
             assert!(c.encoded_uop_bytes() <= 16);
         }
-    }
-
-    #[test]
-    fn malformed_inst_is_an_error_not_a_panic() {
-        // A MOV with no operands at all, as a corrupted decode cache
-        // could hand us.
-        let inst = Inst {
-            dst: None,
-            src: None,
-            ..decode(&[0x90], 0x2000).expect("nop decodes")
-        };
-        let bad = Inst {
-            mnemonic: Mnemonic::Mov,
-            ..inst
-        };
-        assert!(matches!(
-            crack(&bad, 0x2000),
-            Err(CrackError::MissingOperand { pc: 0x2000 })
-        ));
     }
 
     #[test]

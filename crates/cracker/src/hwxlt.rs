@@ -73,7 +73,7 @@ impl XltAssist for HwXlt {
             return punt(0, false, self);
         };
         let Ok(cracked) = crack(&inst, x86_pc) else {
-            // Structurally uncrackable: same punt path as complex
+            // Out of cracking temporaries: same punt path as complex
             // instructions — software microcode handles it.
             return punt(inst.len, false, self);
         };

@@ -33,15 +33,16 @@
 //! # Ok::<(), cdvm_x86::DecodeError>(())
 //! ```
 //!
-//! [`crack`] is total over well-formed [`cdvm_x86::Inst`] values; a
-//! malformed instruction (or one that exhausts the cracking temporaries)
-//! yields a structured [`CrackError`] instead of a panic, and callers
-//! demote — hardware punts, translators fall back to the interpreter.
+//! [`crack`] is total over [`cdvm_x86::Inst`] values, whose forms carry
+//! their operands typed; the one structured failure left, [`CrackError`]
+//! (cracking temporaries exhausted), makes callers demote — hardware
+//! punts, translators fall back to the interpreter — and no decoded form
+//! reaches it.
 
 #![warn(missing_docs)]
 
 mod crack;
 mod hwxlt;
 
-pub use crack::{crack, CrackError, Cracked, CtiSpec, RepKind};
+pub use crack::{crack, CrackError, Cracked, CtiSpec};
 pub use hwxlt::HwXlt;

@@ -245,64 +245,66 @@ fn op_info(op: Op) -> (u8, Form) {
     }
 }
 
-/// True if `u` can be expressed in the 16-bit compact format.
-pub fn fits_compact(u: &Uop) -> bool {
+/// The 16-bit compact encoding of `u`, or `None` when its operation or
+/// operands do not fit that format.
+pub fn encode_compact(u: &Uop) -> Option<u16> {
     if u.rd > 31 {
-        return false;
+        return None;
     }
     let rs_ok = |r: u8| r <= 15;
-    match u.op {
-        Op::Mov if !u.set_flags && u.rs2 != regs::VMM_SP => rs_ok(u.rs2),
-        Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor
-            if u.set_flags && u.w == Width::W32 && u.rs2 != regs::VMM_SP && u.rd == u.rs1 =>
-        {
-            rs_ok(u.rs2)
-        }
-        Op::CmpF | Op::TestF
-            if u.w == Width::W32 && u.rs2 != regs::VMM_SP && u.rd == 0 =>
-        {
-            rs_ok(u.rs1) && rs_ok(u.rs2) && u.rs1 <= 31
-        }
-        Op::Add if !u.set_flags && u.rs2 == regs::VMM_SP && u.rd == u.rs1 => {
-            (-8..=7).contains(&u.imm)
-        }
-        Op::IncF | Op::DecF if u.w == Width::W32 && u.rd == u.rs1 => true,
-        Op::Neg if u.set_flags && u.w == Width::W32 && u.rd == u.rs1 => true,
-        Op::Not if !u.set_flags && u.rd == u.rs1 => true,
-        Op::Ld { w: Width::W32, indexed: false, .. } if u.imm == 0 => rs_ok(u.rs1),
-        Op::St { w: Width::W32, indexed: false, .. } if u.imm == 0 => rs_ok(u.rs1),
-        Op::Jr => rs_ok(u.rs1),
-        Op::Sys(SysOp::Nop) | Op::Sys(SysOp::Halt) => u.imm == 0,
-        _ => false,
-    }
-}
-
-fn encode_compact(u: &Uop) -> u16 {
+    // Two-register flag-setting ALU form: `rd = rd <op> rs2`.
+    let alu_rr = u.set_flags
+        && u.w == Width::W32
+        && u.rs2 != regs::VMM_SP
+        && u.rd == u.rs1
+        && rs_ok(u.rs2);
+    let unary = u.w == Width::W32 && u.rd == u.rs1;
     let (cop, rd, rs) = match u.op {
-        Op::Mov => (C_MOV, u.rd, u.rs2),
-        Op::Add if u.set_flags => (C_ADDF, u.rd, u.rs2),
-        Op::Sub => (C_SUBF, u.rd, u.rs2),
-        Op::And => (C_ANDF, u.rd, u.rs2),
-        Op::Or => (C_ORF, u.rd, u.rs2),
-        Op::Xor => (C_XORF, u.rd, u.rs2),
-        Op::CmpF => (C_CMPF, u.rs1, u.rs2),
-        Op::TestF => (C_TESTF, u.rs1, u.rs2),
-        Op::Add => (C_ADDI, u.rd, (u.imm as u8) & 0xf),
-        Op::IncF => (C_INCF, u.rd, 0),
-        Op::DecF => (C_DECF, u.rd, 0),
-        Op::Neg => (C_NEGF, u.rd, 0),
-        Op::Not => (C_NOT, u.rd, 0),
-        Op::Ld { .. } => (C_LD32, u.rd, u.rs1),
-        Op::St { .. } => (C_ST32, u.rd, u.rs1),
-        Op::Jr => (C_JR, 0, u.rs1),
-        Op::Sys(SysOp::Halt) => (C_HALT, 0, 0),
-        Op::Sys(SysOp::Nop) => (C_NOP, 0, 0),
-        _ => unreachable!("fits_compact admitted a non-compact op"),
+        Op::Mov if !u.set_flags && u.rs2 != regs::VMM_SP && rs_ok(u.rs2) => (C_MOV, u.rd, u.rs2),
+        Op::Add if alu_rr => (C_ADDF, u.rd, u.rs2),
+        Op::Sub if alu_rr => (C_SUBF, u.rd, u.rs2),
+        Op::And if alu_rr => (C_ANDF, u.rd, u.rs2),
+        Op::Or if alu_rr => (C_ORF, u.rd, u.rs2),
+        Op::Xor if alu_rr => (C_XORF, u.rd, u.rs2),
+        Op::CmpF | Op::TestF
+            if u.w == Width::W32
+                && u.rs2 != regs::VMM_SP
+                && u.rd == 0
+                && rs_ok(u.rs1)
+                && rs_ok(u.rs2) =>
+        {
+            let cop = if u.op == Op::CmpF { C_CMPF } else { C_TESTF };
+            (cop, u.rs1, u.rs2)
+        }
+        Op::Add
+            if !u.set_flags
+                && u.rs2 == regs::VMM_SP
+                && u.rd == u.rs1
+                && (-8..=7).contains(&u.imm) =>
+        {
+            (C_ADDI, u.rd, (u.imm as u8) & 0xf)
+        }
+        Op::IncF if unary => (C_INCF, u.rd, 0),
+        Op::DecF if unary => (C_DECF, u.rd, 0),
+        Op::Neg if u.set_flags && unary => (C_NEGF, u.rd, 0),
+        Op::Not if !u.set_flags && u.rd == u.rs1 => (C_NOT, u.rd, 0),
+        Op::Ld { w: Width::W32, indexed: false, .. } if u.imm == 0 && rs_ok(u.rs1) => {
+            (C_LD32, u.rd, u.rs1)
+        }
+        Op::St { w: Width::W32, indexed: false, .. } if u.imm == 0 && rs_ok(u.rs1) => {
+            (C_ST32, u.rd, u.rs1)
+        }
+        Op::Jr if rs_ok(u.rs1) => (C_JR, 0, u.rs1),
+        Op::Sys(SysOp::Halt) if u.imm == 0 => (C_HALT, 0, 0),
+        Op::Sys(SysOp::Nop) if u.imm == 0 => (C_NOP, 0, 0),
+        _ => return None,
     };
-    ((u.fusible as u16) << 14)
-        | ((cop as u16) << 9)
-        | ((rd as u16 & 0x1f) << 4)
-        | (rs as u16 & 0xf)
+    Some(
+        ((u.fusible as u16) << 14)
+            | ((cop as u16) << 9)
+            | ((rd as u16 & 0x1f) << 4)
+            | (rs as u16 & 0xf),
+    )
 }
 
 fn decode_compact(hw: u16) -> Result<Uop, EncodingError> {
@@ -407,8 +409,7 @@ pub fn encode(uops: &[Uop]) -> Vec<u8> {
 
 /// Encodes one micro-op, appending to `out`; returns encoded length.
 pub fn encode_into(u: &Uop, out: &mut Vec<u8>) -> usize {
-    if fits_compact(u) {
-        let hw = encode_compact(u);
+    if let Some(hw) = encode_compact(u) {
         out.extend_from_slice(&hw.to_le_bytes());
         return 2;
     }
@@ -838,7 +839,7 @@ mod tests {
     #[test]
     fn compact_is_two_bytes() {
         let u = Uop::alu(Op::Add, regs::EAX, regs::EAX, regs::EBX).with_flags(Width::W32);
-        assert!(fits_compact(&u));
+        assert!(encode_compact(&u).is_some());
         assert_eq!(encode(&[u]).len(), 2);
         assert_eq!(u.encoded_len(), 2);
     }

@@ -452,7 +452,7 @@ impl Uop {
     /// Encoded size of this micro-op in bytes (2 or 4): the compact
     /// 16-bit form is used when the operation and operands fit.
     pub fn encoded_len(&self) -> u8 {
-        if crate::encoding::fits_compact(self) {
+        if crate::encoding::encode_compact(self).is_some() {
             2
         } else {
             4

@@ -3,7 +3,8 @@
 use crate::NativePc;
 
 /// Fibonacci multiply-shift slot function shared by the flat hash tables
-/// on the execute path (this table, and `PcMap` in the core crate).
+/// on the execute path (this table, the x86 decoder's cache, and the core
+/// crate's PC sets and counters).
 /// `mask` must be `capacity - 1` for a power-of-two capacity.
 #[inline]
 pub fn fib_slot(key: u32, mask: usize) -> usize {

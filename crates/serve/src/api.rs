@@ -586,6 +586,7 @@ fn get_job(service: &Service, id: u64, wait_ms: Option<u64>) -> Resp {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
 

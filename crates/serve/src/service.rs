@@ -819,6 +819,10 @@ fn supervisor(inner: &Arc<Inner>, w: usize) {
     }
 }
 
+#[allow(
+    clippy::panic,
+    reason = "a kill flag is the chaos suite's injected worker death"
+)]
 fn worker_loop(inner: &Arc<Inner>, w: usize) {
     loop {
         if inner.kill_flags[w].swap(false, Ordering::SeqCst) {
@@ -994,6 +998,10 @@ fn execute(inner: &Arc<Inner>, w: usize, id: u64) {
 
 /// One execution attempt: checkout, watchdogs, sliced run with cancel /
 /// kill / deadline checks, architected fingerprint.
+#[allow(
+    clippy::panic,
+    reason = "injected job panics and worker kills are the chaos suite's faults"
+)]
 fn run_attempt(
     inner: &Arc<Inner>,
     w: usize,
@@ -1296,6 +1304,7 @@ fn job_summary(id: u64, rec: &JobRecord, out: &JobOutput) -> Metrics {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -4,6 +4,8 @@
 //! stacks service spans above the VM's flight-recorder tracks, and
 //! disarming spans changes nothing about the modeled results.
 
+#![allow(clippy::unwrap_used, clippy::panic)]
+
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::TcpStream;
 use std::sync::Arc;

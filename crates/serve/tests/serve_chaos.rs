@@ -14,6 +14,8 @@
 //! * the degradation ladder holds: warm stamp → cold boot (breaker) →
 //!   shed at admission, never a wrong answer.
 
+#![allow(clippy::unwrap_used, clippy::panic)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;

@@ -634,7 +634,7 @@ mod tests {
     fn cold_caches_dominate_early_cycles() {
         let mut t = timing();
         t.set_category(CycleCat::X86Mode);
-        let inst = Inst::nullary(Mnemonic::Nop, Width::W32, 1);
+        let inst = Inst::new(Mnemonic::Nop, Width::W32, 1);
         let r = Retired {
             pc: 0x40_0000,
             len: 1,
@@ -692,7 +692,7 @@ mod tests {
     fn ref_decoder_always_active() {
         let mut t = Timing::new(MachineConfig::preset(MachineKind::RefSuperscalar));
         t.set_category(CycleCat::X86Mode);
-        let inst = Inst::nullary(Mnemonic::Nop, Width::W32, 1);
+        let inst = Inst::new(Mnemonic::Nop, Width::W32, 1);
         let r = Retired {
             pc: 0x40_0000,
             len: 1,
@@ -728,7 +728,7 @@ mod tests {
         }
 
         let plain = Uop::alu(Op::Add, regs::T0, regs::EAX, regs::EBX);
-        let inst = Inst::nullary(Mnemonic::Nop, Width::W32, 1);
+        let inst = Inst::new(Mnemonic::Nop, Width::W32, 1);
         let interp_r = Retired {
             pc: 0x40_0000,
             len: 1,

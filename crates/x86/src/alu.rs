@@ -42,6 +42,14 @@ impl AluOp {
     }
 
     /// The group number used in x86 `/r` extension encodings (0–7).
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`AluOp::Test`], which has no group-1 encoding.
+    #[allow(
+        clippy::unreachable,
+        reason = "asking for TEST's group number is an assembler programmer error"
+    )]
     pub fn group_num(self) -> u8 {
         match self {
             AluOp::Add => 0,
@@ -56,13 +64,10 @@ impl AluOp {
         }
     }
 
-    /// Inverse of [`AluOp::group_num`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 7`.
+    /// Inverse of [`AluOp::group_num`], reading the low three bits of `n`
+    /// (a ModRM `reg` field or an opcode's operation bits).
     pub fn from_group_num(n: u8) -> AluOp {
-        match n {
+        match n & 7 {
             0 => AluOp::Add,
             1 => AluOp::Or,
             2 => AluOp::Adc,
@@ -70,8 +75,7 @@ impl AluOp {
             4 => AluOp::And,
             5 => AluOp::Sub,
             6 => AluOp::Xor,
-            7 => AluOp::Cmp,
-            _ => unreachable!("invalid ALU group {n}"),
+            _ => AluOp::Cmp,
         }
     }
 }

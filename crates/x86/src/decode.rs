@@ -8,7 +8,9 @@
 
 use cdvm_mem::{fib_slot, Memory};
 
-use crate::{AluOp, Cond, Gpr, Inst, MemRef, Mnemonic, Operand, ShiftOp, Width};
+use crate::{
+    AluOp, Cond, Gpr, Inst, MemRef, Mnemonic, Operand, Rm, ShiftCount, ShiftOp, StrOp, Width,
+};
 
 /// Architectural maximum instruction length in bytes.
 pub const MAX_INST_LEN: usize = 15;
@@ -104,7 +106,14 @@ impl<'a> Reader<'a> {
 /// `reg` field (register number or group extension).
 struct ModRm {
     reg: u8,
-    rm: Operand,
+    rm: Rm,
+}
+
+impl ModRm {
+    /// The `reg` field read as a register.
+    fn reg(&self) -> Gpr {
+        Gpr::from_num(self.reg)
+    }
 }
 
 fn modrm(r: &mut Reader<'_>) -> Result<ModRm, DecodeError> {
@@ -116,12 +125,14 @@ fn modrm(r: &mut Reader<'_>) -> Result<ModRm, DecodeError> {
     if md == 3 {
         return Ok(ModRm {
             reg,
-            rm: Operand::Reg(Gpr::from_num(rm)),
+            rm: Rm::Reg(Gpr::from_num(rm)),
         });
     }
 
-    let mut mem = MemRef::default();
-    mem.scale = 1;
+    let mut mem = MemRef {
+        scale: 1,
+        ..MemRef::default()
+    };
 
     if rm == 4 {
         // SIB byte.
@@ -137,7 +148,7 @@ fn modrm(r: &mut Reader<'_>) -> Result<ModRm, DecodeError> {
             mem.disp = r.u32()? as i32;
             return Ok(ModRm {
                 reg,
-                rm: Operand::Mem(finish_disp(mem, md, r, true)?),
+                rm: Rm::Mem(mem),
             });
         }
         mem.base = Some(Gpr::from_num(base));
@@ -145,50 +156,25 @@ fn modrm(r: &mut Reader<'_>) -> Result<ModRm, DecodeError> {
         mem.disp = r.u32()? as i32;
         return Ok(ModRm {
             reg,
-            rm: Operand::Mem(mem),
+            rm: Rm::Mem(mem),
         });
     } else {
         mem.base = Some(Gpr::from_num(rm));
     }
 
-    Ok(ModRm {
-        reg,
-        rm: Operand::Mem(finish_disp(mem, md, r, false)?),
-    })
-}
-
-fn finish_disp(
-    mut mem: MemRef,
-    md: u8,
-    r: &mut Reader<'_>,
-    disp_done: bool,
-) -> Result<MemRef, DecodeError> {
-    if disp_done {
-        return Ok(mem);
-    }
     match md {
         1 => mem.disp = r.u8()? as i8 as i32,
         2 => mem.disp = r.u32()? as i32,
         _ => {}
     }
-    Ok(mem)
+    Ok(ModRm {
+        reg,
+        rm: Rm::Mem(mem),
+    })
 }
 
-fn inst(
-    mnemonic: Mnemonic,
-    width: Width,
-    dst: Option<Operand>,
-    src: Option<Operand>,
-) -> Result<Inst, DecodeError> {
-    Ok(Inst {
-        mnemonic,
-        width,
-        dst,
-        src,
-        src2: None,
-        len: 0,
-        rep: false,
-    })
+fn inst(mnemonic: Mnemonic, width: Width) -> Result<Inst, DecodeError> {
+    Ok(Inst::new(mnemonic, width, 0))
 }
 
 /// Decodes one instruction from `bytes`, which must start at the
@@ -215,163 +201,167 @@ pub fn decode(bytes: &[u8], pc: u32) -> Result<Inst, DecodeError> {
         }
     };
 
-    let mut out = decode_opcode(&mut r, opcode, wide, pc)?;
+    let mut out = decode_opcode(&mut r, opcode, wide, rep, pc)?;
     out.len = r.pos as u8;
-    out.rep = rep && matches!(out.mnemonic, Mnemonic::Movs | Mnemonic::Stos | Mnemonic::Lods);
     Ok(out)
+}
+
+/// The absolute target of a relative branch whose displacement of width
+/// `w` ends the instruction.
+fn rel_target(r: &mut Reader<'_>, w: Width, pc: u32) -> Result<u32, DecodeError> {
+    let rel = r.imm(w)?;
+    Ok(pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32))
 }
 
 fn decode_opcode(
     r: &mut Reader<'_>,
     opcode: u8,
     wide: Width,
+    rep: bool,
     pc: u32,
 ) -> Result<Inst, DecodeError> {
-    // The classic ALU block: 0x00-0x3d, 8 ops x 6 forms.
+    // The classic ALU block: 0x00-0x3d, 8 ops x 6 forms. Bit 0 selects
+    // the width, bit 2 the accumulator-immediate forms and bit 1 the
+    // direction of the ModRM forms.
     if opcode < 0x40 && (opcode & 7) < 6 {
         let op = AluOp::from_group_num(opcode >> 3);
-        let m = Mnemonic::Alu(op);
-        return match opcode & 7 {
-            0 => {
-                let mr = modrm(r)?;
-                inst(m, Width::W8, Some(mr.rm), Some(Operand::Reg(Gpr::from_num(mr.reg))))
+        let w = if opcode & 1 == 0 { Width::W8 } else { wide };
+        let (dst, src) = if opcode & 4 != 0 {
+            (Rm::Reg(Gpr::Eax), Operand::Imm(r.imm(w)?))
+        } else {
+            let mr = modrm(r)?;
+            if opcode & 2 == 0 {
+                (mr.rm, Operand::Reg(mr.reg()))
+            } else {
+                (Rm::Reg(mr.reg()), mr.rm.into())
             }
-            1 => {
-                let mr = modrm(r)?;
-                inst(m, wide, Some(mr.rm), Some(Operand::Reg(Gpr::from_num(mr.reg))))
-            }
-            2 => {
-                let mr = modrm(r)?;
-                inst(m, Width::W8, Some(Operand::Reg(Gpr::from_num(mr.reg))), Some(mr.rm))
-            }
-            3 => {
-                let mr = modrm(r)?;
-                inst(m, wide, Some(Operand::Reg(Gpr::from_num(mr.reg))), Some(mr.rm))
-            }
-            4 => {
-                let imm = r.imm(Width::W8)?;
-                inst(m, Width::W8, Some(Operand::Reg(Gpr::Eax)), Some(Operand::Imm(imm)))
-            }
-            5 => {
-                let imm = r.imm(wide)?;
-                inst(m, wide, Some(Operand::Reg(Gpr::Eax)), Some(Operand::Imm(imm)))
-            }
-            _ => unreachable!(),
         };
+        return inst(Mnemonic::Alu { op, dst, src }, w);
     }
 
+    // Byte form for even opcodes of the paired encodings.
+    let w = if opcode & 1 == 0 { Width::W8 } else { wide };
     match opcode {
         0x0f => decode_0f(r, wide, pc),
 
         0x40..=0x47 => inst(
-            Mnemonic::Inc,
+            Mnemonic::Inc {
+                dst: Rm::Reg(Gpr::from_num(opcode - 0x40)),
+            },
             wide,
-            Some(Operand::Reg(Gpr::from_num(opcode - 0x40))),
-            None,
         ),
         0x48..=0x4f => inst(
-            Mnemonic::Dec,
+            Mnemonic::Dec {
+                dst: Rm::Reg(Gpr::from_num(opcode - 0x48)),
+            },
             wide,
-            Some(Operand::Reg(Gpr::from_num(opcode - 0x48))),
-            None,
         ),
         0x50..=0x57 => inst(
-            Mnemonic::Push,
+            Mnemonic::Push {
+                src: Operand::Reg(Gpr::from_num(opcode - 0x50)),
+            },
             Width::W32,
-            None,
-            Some(Operand::Reg(Gpr::from_num(opcode - 0x50))),
         ),
         0x58..=0x5f => inst(
-            Mnemonic::Pop,
+            Mnemonic::Pop {
+                dst: Rm::Reg(Gpr::from_num(opcode - 0x58)),
+            },
             Width::W32,
-            Some(Operand::Reg(Gpr::from_num(opcode - 0x58))),
-            None,
         ),
-        0x60 => inst(Mnemonic::Pusha, Width::W32, None, None),
-        0x61 => inst(Mnemonic::Popa, Width::W32, None, None),
-        0x68 => {
-            let imm = r.imm(Width::W32)?;
-            inst(Mnemonic::Push, Width::W32, None, Some(Operand::Imm(imm)))
+        0x60 => inst(Mnemonic::Pusha, Width::W32),
+        0x61 => inst(Mnemonic::Popa, Width::W32),
+        0x68 | 0x6a => {
+            let imm = r.imm(if opcode == 0x68 { Width::W32 } else { Width::W8 })?;
+            inst(
+                Mnemonic::Push {
+                    src: Operand::Imm(imm),
+                },
+                Width::W32,
+            )
         }
         0x69 | 0x6b => {
             let mr = modrm(r)?;
             let imm = r.imm(if opcode == 0x69 { wide } else { Width::W8 })?;
-            let mut i = inst(
-                Mnemonic::Imul,
+            inst(
+                Mnemonic::ImulImm {
+                    dst: mr.reg(),
+                    src: mr.rm,
+                    imm,
+                },
                 wide,
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
-                Some(mr.rm),
-            )?;
-            i.src2 = Some(Operand::Imm(imm));
-            Ok(i)
-        }
-        0x6a => {
-            let imm = r.imm(Width::W8)?;
-            inst(Mnemonic::Push, Width::W32, None, Some(Operand::Imm(imm)))
+            )
         }
         0x70..=0x7f => {
             let cond = Cond::from_num(opcode - 0x70);
-            let rel = r.imm(Width::W8)?;
-            let target = pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32);
-            inst(Mnemonic::Jcc(cond), Width::W32, None, Some(Operand::Imm(target as i32)))
+            let target = rel_target(r, Width::W8, pc)?;
+            inst(Mnemonic::Jcc { cond, target }, Width::W32)
         }
         0x80 | 0x81 | 0x83 => {
             let w = if opcode == 0x80 { Width::W8 } else { wide };
             let mr = modrm(r)?;
             let imm = r.imm(if opcode == 0x81 { w } else { Width::W8 })?;
             let op = AluOp::from_group_num(mr.reg);
-            inst(Mnemonic::Alu(op), w, Some(mr.rm), Some(Operand::Imm(imm)))
+            inst(
+                Mnemonic::Alu {
+                    op,
+                    dst: mr.rm,
+                    src: Operand::Imm(imm),
+                },
+                w,
+            )
         }
         0x84 | 0x85 => {
-            let w = if opcode == 0x84 { Width::W8 } else { wide };
             let mr = modrm(r)?;
             inst(
-                Mnemonic::Alu(AluOp::Test),
+                Mnemonic::Alu {
+                    op: AluOp::Test,
+                    dst: mr.rm,
+                    src: Operand::Reg(mr.reg()),
+                },
                 w,
-                Some(mr.rm),
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
             )
         }
         0x86 | 0x87 => {
-            let w = if opcode == 0x86 { Width::W8 } else { wide };
             let mr = modrm(r)?;
             inst(
-                Mnemonic::Xchg,
+                Mnemonic::Xchg {
+                    dst: mr.rm,
+                    src: mr.reg(),
+                },
                 w,
-                Some(mr.rm),
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
             )
         }
         0x88 | 0x89 => {
-            let w = if opcode == 0x88 { Width::W8 } else { wide };
             let mr = modrm(r)?;
             inst(
-                Mnemonic::Mov,
+                Mnemonic::Mov {
+                    dst: mr.rm,
+                    src: Operand::Reg(mr.reg()),
+                },
                 w,
-                Some(mr.rm),
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
             )
         }
         0x8a | 0x8b => {
-            let w = if opcode == 0x8a { Width::W8 } else { wide };
             let mr = modrm(r)?;
             inst(
-                Mnemonic::Mov,
+                Mnemonic::Mov {
+                    dst: Rm::Reg(mr.reg()),
+                    src: mr.rm.into(),
+                },
                 w,
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
-                Some(mr.rm),
             )
         }
         0x8d => {
             let mr = modrm(r)?;
             match mr.rm {
-                Operand::Mem(_) => inst(
-                    Mnemonic::Lea,
+                Rm::Mem(addr) => inst(
+                    Mnemonic::Lea {
+                        dst: mr.reg(),
+                        addr,
+                    },
                     wide,
-                    Some(Operand::Reg(Gpr::from_num(mr.reg))),
-                    Some(mr.rm),
                 ),
-                _ => Err(DecodeError::Unknown(opcode)),
+                Rm::Reg(_) => Err(DecodeError::Unknown(opcode)),
             }
         }
         0x8f => {
@@ -379,175 +369,141 @@ fn decode_opcode(
             if mr.reg != 0 {
                 return Err(DecodeError::UnknownGroup { opcode, ext: mr.reg });
             }
-            inst(Mnemonic::Pop, Width::W32, Some(mr.rm), None)
+            inst(Mnemonic::Pop { dst: mr.rm }, Width::W32)
         }
-        0x90 => inst(Mnemonic::Nop, Width::W32, None, None),
+        0x90 => inst(Mnemonic::Nop, Width::W32),
         0x91..=0x97 => inst(
-            Mnemonic::Xchg,
+            Mnemonic::Xchg {
+                dst: Rm::Reg(Gpr::Eax),
+                src: Gpr::from_num(opcode - 0x90),
+            },
             wide,
-            Some(Operand::Reg(Gpr::Eax)),
-            Some(Operand::Reg(Gpr::from_num(opcode - 0x90))),
         ),
-        0x98 => inst(Mnemonic::Cwde, wide, None, None),
-        0x99 => inst(Mnemonic::Cdq, wide, None, None),
-        0xa4 => inst(Mnemonic::Movs, Width::W8, None, None),
-        0xa5 => inst(Mnemonic::Movs, wide, None, None),
-        0xa8 => {
-            let imm = r.imm(Width::W8)?;
+        0x98 => inst(Mnemonic::Cwde, wide),
+        0x99 => inst(Mnemonic::Cdq, wide),
+        0xa4 | 0xa5 => inst(Mnemonic::Str { op: StrOp::Movs, rep }, w),
+        0xa8 | 0xa9 => {
+            let imm = r.imm(w)?;
             inst(
-                Mnemonic::Alu(AluOp::Test),
-                Width::W8,
-                Some(Operand::Reg(Gpr::Eax)),
-                Some(Operand::Imm(imm)),
+                Mnemonic::Alu {
+                    op: AluOp::Test,
+                    dst: Rm::Reg(Gpr::Eax),
+                    src: Operand::Imm(imm),
+                },
+                w,
             )
         }
-        0xa9 => {
-            let imm = r.imm(wide)?;
+        0xaa | 0xab => inst(Mnemonic::Str { op: StrOp::Stos, rep }, w),
+        0xac | 0xad => inst(Mnemonic::Str { op: StrOp::Lods, rep }, w),
+        0xb0..=0xbf => {
+            let w = if opcode < 0xb8 { Width::W8 } else { wide };
+            let imm = r.imm(w)?;
             inst(
-                Mnemonic::Alu(AluOp::Test),
-                wide,
-                Some(Operand::Reg(Gpr::Eax)),
-                Some(Operand::Imm(imm)),
+                Mnemonic::Mov {
+                    dst: Rm::Reg(Gpr::from_num(opcode & 7)),
+                    src: Operand::Imm(imm),
+                },
+                w,
             )
         }
-        0xaa => inst(Mnemonic::Stos, Width::W8, None, None),
-        0xab => inst(Mnemonic::Stos, wide, None, None),
-        0xac => inst(Mnemonic::Lods, Width::W8, None, None),
-        0xad => inst(Mnemonic::Lods, wide, None, None),
-        0xb0..=0xb7 => {
-            let imm = r.imm(Width::W8)?;
-            inst(
-                Mnemonic::Mov,
-                Width::W8,
-                Some(Operand::Reg(Gpr::from_num(opcode - 0xb0))),
-                Some(Operand::Imm(imm)),
-            )
-        }
-        0xb8..=0xbf => {
-            let imm = r.imm(wide)?;
-            inst(
-                Mnemonic::Mov,
-                wide,
-                Some(Operand::Reg(Gpr::from_num(opcode - 0xb8))),
-                Some(Operand::Imm(imm)),
-            )
-        }
-        0xc0 | 0xc1 => {
-            let w = if opcode == 0xc0 { Width::W8 } else { wide };
+        0xc0 | 0xc1 | 0xd0..=0xd3 => {
             let mr = modrm(r)?;
             let op = ShiftOp::from_group_num(mr.reg)
                 .ok_or(DecodeError::UnknownGroup { opcode, ext: mr.reg })?;
-            let count = r.imm(Width::W8)?;
-            inst(Mnemonic::Shift(op), w, Some(mr.rm), Some(Operand::Imm(count)))
+            let count = match opcode {
+                0xc0 | 0xc1 => ShiftCount::Imm(r.u8()?),
+                0xd0 | 0xd1 => ShiftCount::Imm(1),
+                _ => ShiftCount::Cl,
+            };
+            inst(
+                Mnemonic::Shift {
+                    op,
+                    dst: mr.rm,
+                    count,
+                },
+                w,
+            )
         }
         0xc2 => {
-            let n = r.u16()?;
-            inst(Mnemonic::Ret, Width::W32, None, Some(Operand::Imm(n as i32)))
+            let pop = r.u16()?;
+            inst(Mnemonic::Ret { pop }, Width::W32)
         }
-        0xc3 => inst(Mnemonic::Ret, Width::W32, None, None),
+        0xc3 => inst(Mnemonic::Ret { pop: 0 }, Width::W32),
         0xc6 | 0xc7 => {
-            let w = if opcode == 0xc6 { Width::W8 } else { wide };
             let mr = modrm(r)?;
             if mr.reg != 0 {
                 return Err(DecodeError::UnknownGroup { opcode, ext: mr.reg });
             }
             let imm = r.imm(w)?;
-            inst(Mnemonic::Mov, w, Some(mr.rm), Some(Operand::Imm(imm)))
+            inst(
+                Mnemonic::Mov {
+                    dst: mr.rm,
+                    src: Operand::Imm(imm),
+                },
+                w,
+            )
         }
         0xc8 => {
             let frame = r.u16()?;
             let nesting = r.u8()?;
-            let mut i = inst(
-                Mnemonic::Enter,
-                Width::W32,
-                None,
-                Some(Operand::Imm(frame as i32)),
-            )?;
-            i.src2 = Some(Operand::Imm(nesting as i32));
-            Ok(i)
+            inst(Mnemonic::Enter { frame, nesting }, Width::W32)
         }
-        0xc9 => inst(Mnemonic::Leave, Width::W32, None, None),
-        0xcc => inst(Mnemonic::Int3, Width::W32, None, None),
-        0xd0 | 0xd1 => {
-            let w = if opcode == 0xd0 { Width::W8 } else { wide };
-            let mr = modrm(r)?;
-            let op = ShiftOp::from_group_num(mr.reg)
-                .ok_or(DecodeError::UnknownGroup { opcode, ext: mr.reg })?;
-            inst(Mnemonic::Shift(op), w, Some(mr.rm), Some(Operand::Imm(1)))
-        }
-        0xd2 | 0xd3 => {
-            let w = if opcode == 0xd2 { Width::W8 } else { wide };
-            let mr = modrm(r)?;
-            let op = ShiftOp::from_group_num(mr.reg)
-                .ok_or(DecodeError::UnknownGroup { opcode, ext: mr.reg })?;
-            inst(Mnemonic::Shift(op), w, Some(mr.rm), Some(Operand::Reg(Gpr::Ecx)))
-        }
+        0xc9 => inst(Mnemonic::Leave, Width::W32),
+        0xcc => inst(Mnemonic::Int3, Width::W32),
         0xe2 => {
-            let rel = r.imm(Width::W8)?;
-            let target = pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32);
-            inst(Mnemonic::Loop, Width::W32, None, Some(Operand::Imm(target as i32)))
+            let target = rel_target(r, Width::W8, pc)?;
+            inst(Mnemonic::Loop { target }, Width::W32)
         }
         0xe3 => {
-            let rel = r.imm(Width::W8)?;
-            let target = pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32);
-            inst(Mnemonic::Jecxz, Width::W32, None, Some(Operand::Imm(target as i32)))
+            let target = rel_target(r, Width::W8, pc)?;
+            inst(Mnemonic::Jecxz { target }, Width::W32)
         }
         0xe8 => {
-            let rel = r.imm(Width::W32)?;
-            let target = pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32);
-            inst(Mnemonic::Call, Width::W32, None, Some(Operand::Imm(target as i32)))
+            let target = rel_target(r, Width::W32, pc)?;
+            inst(Mnemonic::Call { target }, Width::W32)
         }
-        0xe9 => {
-            let rel = r.imm(Width::W32)?;
-            let target = pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32);
-            inst(Mnemonic::Jmp, Width::W32, None, Some(Operand::Imm(target as i32)))
+        0xe9 | 0xeb => {
+            let target = rel_target(r, if opcode == 0xe9 { Width::W32 } else { Width::W8 }, pc)?;
+            inst(Mnemonic::Jmp { target }, Width::W32)
         }
-        0xeb => {
-            let rel = r.imm(Width::W8)?;
-            let target = pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32);
-            inst(Mnemonic::Jmp, Width::W32, None, Some(Operand::Imm(target as i32)))
-        }
-        0xf4 => inst(Mnemonic::Hlt, Width::W32, None, None),
+        0xf4 => inst(Mnemonic::Hlt, Width::W32),
         0xf6 | 0xf7 => {
-            let w = if opcode == 0xf6 { Width::W8 } else { wide };
             let mr = modrm(r)?;
-            match mr.reg {
-                0 => {
-                    let imm = r.imm(w)?;
-                    inst(
-                        Mnemonic::Alu(AluOp::Test),
-                        w,
-                        Some(mr.rm),
-                        Some(Operand::Imm(imm)),
-                    )
-                }
-                2 => inst(Mnemonic::Not, w, Some(mr.rm), None),
-                3 => inst(Mnemonic::Neg, w, Some(mr.rm), None),
-                4 => inst(Mnemonic::Mul, w, Some(mr.rm), None),
-                5 => inst(Mnemonic::ImulWide, w, Some(mr.rm), None),
-                6 => inst(Mnemonic::Div, w, Some(mr.rm), None),
-                7 => inst(Mnemonic::Idiv, w, Some(mr.rm), None),
-                ext => Err(DecodeError::UnknownGroup { opcode, ext }),
-            }
+            let src = mr.rm;
+            let m = match mr.reg {
+                0 => Mnemonic::Alu {
+                    op: AluOp::Test,
+                    dst: src,
+                    src: Operand::Imm(r.imm(w)?),
+                },
+                2 => Mnemonic::Not { dst: src },
+                3 => Mnemonic::Neg { dst: src },
+                4 => Mnemonic::Mul { src },
+                5 => Mnemonic::ImulWide { src },
+                6 => Mnemonic::Div { src },
+                7 => Mnemonic::Idiv { src },
+                ext => return Err(DecodeError::UnknownGroup { opcode, ext }),
+            };
+            inst(m, w)
         }
-        0xfc => inst(Mnemonic::Cld, Width::W32, None, None),
-        0xfd => inst(Mnemonic::Std, Width::W32, None, None),
+        0xfc => inst(Mnemonic::Cld, Width::W32),
+        0xfd => inst(Mnemonic::Std, Width::W32),
         0xfe => {
             let mr = modrm(r)?;
             match mr.reg {
-                0 => inst(Mnemonic::Inc, Width::W8, Some(mr.rm), None),
-                1 => inst(Mnemonic::Dec, Width::W8, Some(mr.rm), None),
+                0 => inst(Mnemonic::Inc { dst: mr.rm }, Width::W8),
+                1 => inst(Mnemonic::Dec { dst: mr.rm }, Width::W8),
                 ext => Err(DecodeError::UnknownGroup { opcode, ext }),
             }
         }
         0xff => {
             let mr = modrm(r)?;
             match mr.reg {
-                0 => inst(Mnemonic::Inc, wide, Some(mr.rm), None),
-                1 => inst(Mnemonic::Dec, wide, Some(mr.rm), None),
-                2 => inst(Mnemonic::CallInd, Width::W32, None, Some(mr.rm)),
-                4 => inst(Mnemonic::JmpInd, Width::W32, None, Some(mr.rm)),
-                6 => inst(Mnemonic::Push, Width::W32, None, Some(mr.rm)),
+                0 => inst(Mnemonic::Inc { dst: mr.rm }, wide),
+                1 => inst(Mnemonic::Dec { dst: mr.rm }, wide),
+                2 => inst(Mnemonic::CallInd { target: mr.rm }, Width::W32),
+                4 => inst(Mnemonic::JmpInd { target: mr.rm }, Width::W32),
+                6 => inst(Mnemonic::Push { src: mr.rm.into() }, Width::W32),
                 ext => Err(DecodeError::UnknownGroup { opcode, ext }),
             }
         }
@@ -561,58 +517,51 @@ fn decode_0f(r: &mut Reader<'_>, wide: Width, pc: u32) -> Result<Inst, DecodeErr
         0x1f => {
             // Multi-byte NOP: consumes a ModRM (and its addressing bytes).
             let _ = modrm(r)?;
-            inst(Mnemonic::Nop, Width::W32, None, None)
+            inst(Mnemonic::Nop, Width::W32)
         }
         0x40..=0x4f => {
             let cond = Cond::from_num(op2 - 0x40);
             let mr = modrm(r)?;
             inst(
-                Mnemonic::Cmovcc(cond),
+                Mnemonic::Cmovcc {
+                    cond,
+                    dst: mr.reg(),
+                    src: mr.rm,
+                },
                 wide,
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
-                Some(mr.rm),
             )
         }
         0x80..=0x8f => {
             let cond = Cond::from_num(op2 - 0x80);
-            let rel = r.imm(Width::W32)?;
-            let target = pc.wrapping_add(r.pos as u32).wrapping_add(rel as u32);
-            inst(Mnemonic::Jcc(cond), Width::W32, None, Some(Operand::Imm(target as i32)))
+            let target = rel_target(r, Width::W32, pc)?;
+            inst(Mnemonic::Jcc { cond, target }, Width::W32)
         }
         0x90..=0x9f => {
             let cond = Cond::from_num(op2 - 0x90);
             let mr = modrm(r)?;
-            inst(Mnemonic::Setcc(cond), Width::W8, Some(mr.rm), None)
+            inst(Mnemonic::Setcc { cond, dst: mr.rm }, Width::W8)
         }
-        0xa2 => inst(Mnemonic::Cpuid, Width::W32, None, None),
+        0xa2 => inst(Mnemonic::Cpuid, Width::W32),
         0xaf => {
             let mr = modrm(r)?;
             inst(
-                Mnemonic::Imul,
+                Mnemonic::Imul {
+                    dst: mr.reg(),
+                    src: mr.rm,
+                },
                 wide,
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
-                Some(mr.rm),
             )
         }
-        0xb6 | 0xb7 => {
-            let srcw = if op2 == 0xb6 { Width::W8 } else { Width::W16 };
+        0xb6 | 0xb7 | 0xbe | 0xbf => {
+            let from = if op2 & 1 == 0 { Width::W8 } else { Width::W16 };
             let mr = modrm(r)?;
-            inst(
-                Mnemonic::Movzx(srcw),
-                wide,
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
-                Some(mr.rm),
-            )
-        }
-        0xbe | 0xbf => {
-            let srcw = if op2 == 0xbe { Width::W8 } else { Width::W16 };
-            let mr = modrm(r)?;
-            inst(
-                Mnemonic::Movsx(srcw),
-                wide,
-                Some(Operand::Reg(Gpr::from_num(mr.reg))),
-                Some(mr.rm),
-            )
+            let (dst, src) = (mr.reg(), mr.rm);
+            let m = if op2 < 0xbe {
+                Mnemonic::Movzx { from, dst, src }
+            } else {
+                Mnemonic::Movsx { from, dst, src }
+            };
+            inst(m, wide)
         }
         op => Err(DecodeError::UnknownExt(op)),
     }
@@ -877,13 +826,6 @@ impl Decoder {
         }
     }
 
-    /// The [`Memory::code_version`] observed at the latest request: every
-    /// cached decode, and the instruction just served, reflect code bytes
-    /// as of this version.
-    pub fn code_version(&self) -> u64 {
-        self.mem_version
-    }
-
     /// Total decode requests served.
     pub fn decodes(&self) -> u64 {
         self.decodes
@@ -943,9 +885,13 @@ mod tests {
     #[test]
     fn mov_reg_imm32() {
         let i = d(&[0xb8, 0x78, 0x56, 0x34, 0x12]); // mov eax, 0x12345678
-        assert_eq!(i.mnemonic, Mnemonic::Mov);
-        assert_eq!(i.dst, Some(Operand::Reg(Gpr::Eax)));
-        assert_eq!(i.src, Some(Operand::Imm(0x1234_5678)));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Mov {
+                dst: Rm::Reg(Gpr::Eax),
+                src: Operand::Imm(0x1234_5678)
+            }
+        );
         assert_eq!(i.len, 5);
     }
 
@@ -953,12 +899,14 @@ mod tests {
     fn alu_rm_r_with_sib() {
         // add [eax+ecx*4+8], ebx
         let i = d(&[0x01, 0x5c, 0x88, 0x08]);
-        assert_eq!(i.mnemonic, Mnemonic::Alu(AluOp::Add));
         assert_eq!(
-            i.dst,
-            Some(Operand::Mem(MemRef::base_index(Gpr::Eax, Gpr::Ecx, 4, 8)))
+            i.mnemonic,
+            Mnemonic::Alu {
+                op: AluOp::Add,
+                dst: Rm::Mem(MemRef::base_index(Gpr::Eax, Gpr::Ecx, 4, 8)),
+                src: Operand::Reg(Gpr::Ebx)
+            }
         );
-        assert_eq!(i.src, Some(Operand::Reg(Gpr::Ebx)));
         assert_eq!(i.len, 4);
     }
 
@@ -966,19 +914,30 @@ mod tests {
     fn alu_group1_imm8_sext() {
         // sub esp, 0x10 (83 /5)
         let i = d(&[0x83, 0xec, 0x10]);
-        assert_eq!(i.mnemonic, Mnemonic::Alu(AluOp::Sub));
-        assert_eq!(i.dst, Some(Operand::Reg(Gpr::Esp)));
-        assert_eq!(i.src, Some(Operand::Imm(0x10)));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Alu {
+                op: AluOp::Sub,
+                dst: Rm::Reg(Gpr::Esp),
+                src: Operand::Imm(0x10)
+            }
+        );
         // and with negative imm8
         let i = d(&[0x83, 0xc0, 0xff]); // add eax, -1
-        assert_eq!(i.src, Some(Operand::Imm(-1)));
+        assert!(matches!(
+            i.mnemonic,
+            Mnemonic::Alu {
+                src: Operand::Imm(-1),
+                ..
+            }
+        ));
     }
 
     #[test]
     fn jcc_short_resolves_target() {
         // je +6 at pc=0x1000: target = 0x1000 + 2 + 6
         let i = d(&[0x74, 0x06]);
-        assert_eq!(i.mnemonic, Mnemonic::Jcc(Cond::E));
+        assert!(matches!(i.mnemonic, Mnemonic::Jcc { cond: Cond::E, .. }));
         assert_eq!(i.direct_target(), Some(0x1008));
     }
 
@@ -986,7 +945,7 @@ mod tests {
     fn jcc_near_and_backward() {
         // jne rel32 = -16 at 0x1000, len 6 -> 0x1000+6-16 = 0xff6
         let i = d(&[0x0f, 0x85, 0xf0, 0xff, 0xff, 0xff]);
-        assert_eq!(i.mnemonic, Mnemonic::Jcc(Cond::Ne));
+        assert!(matches!(i.mnemonic, Mnemonic::Jcc { cond: Cond::Ne, .. }));
         assert_eq!(i.direct_target(), Some(0xff6));
         assert_eq!(i.len, 6);
     }
@@ -994,26 +953,36 @@ mod tests {
     #[test]
     fn call_and_ret() {
         let i = d(&[0xe8, 0x00, 0x01, 0x00, 0x00]);
-        assert_eq!(i.mnemonic, Mnemonic::Call);
+        assert_eq!(i.mnemonic, Mnemonic::Call { target: 0x1105 });
         assert_eq!(i.direct_target(), Some(0x1105));
         let i = d(&[0xc2, 0x08, 0x00]);
-        assert_eq!(i.mnemonic, Mnemonic::Ret);
-        assert_eq!(i.src, Some(Operand::Imm(8)));
+        assert_eq!(i.mnemonic, Mnemonic::Ret { pop: 8 });
     }
 
     #[test]
     fn operand_size_prefix() {
         let i = d(&[0x66, 0xb8, 0x34, 0x12]); // mov ax, 0x1234
         assert_eq!(i.width, Width::W16);
-        assert_eq!(i.src, Some(Operand::Imm(0x1234)));
+        assert!(matches!(
+            i.mnemonic,
+            Mnemonic::Mov {
+                src: Operand::Imm(0x1234),
+                ..
+            }
+        ));
         assert_eq!(i.len, 4);
     }
 
     #[test]
     fn rep_movsd() {
         let i = d(&[0xf3, 0xa5]);
-        assert_eq!(i.mnemonic, Mnemonic::Movs);
-        assert!(i.rep);
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Str {
+                op: StrOp::Movs,
+                rep: true
+            }
+        );
         assert_eq!(i.width, Width::W32);
         assert!(i.mnemonic.is_complex());
     }
@@ -1021,64 +990,95 @@ mod tests {
     #[test]
     fn group3_forms() {
         let i = d(&[0xf7, 0xd8]); // neg eax
-        assert_eq!(i.mnemonic, Mnemonic::Neg);
+        assert_eq!(i.mnemonic, Mnemonic::Neg { dst: Rm::Reg(Gpr::Eax) });
         let i = d(&[0xf7, 0xe1]); // mul ecx
-        assert_eq!(i.mnemonic, Mnemonic::Mul);
+        assert_eq!(i.mnemonic, Mnemonic::Mul { src: Rm::Reg(Gpr::Ecx) });
         let i = d(&[0xf6, 0xc2, 0x01]); // test dl, 1
-        assert_eq!(i.mnemonic, Mnemonic::Alu(AluOp::Test));
+        assert!(matches!(i.mnemonic, Mnemonic::Alu { op: AluOp::Test, .. }));
         assert_eq!(i.width, Width::W8);
     }
 
     #[test]
     fn shifts() {
+        let shift = |op, count| Mnemonic::Shift {
+            op,
+            dst: Rm::Reg(Gpr::Eax),
+            count,
+        };
         let i = d(&[0xc1, 0xe0, 0x04]); // shl eax, 4
-        assert_eq!(i.mnemonic, Mnemonic::Shift(ShiftOp::Shl));
-        assert_eq!(i.src, Some(Operand::Imm(4)));
+        assert_eq!(i.mnemonic, shift(ShiftOp::Shl, ShiftCount::Imm(4)));
         let i = d(&[0xd3, 0xf8]); // sar eax, cl
-        assert_eq!(i.mnemonic, Mnemonic::Shift(ShiftOp::Sar));
-        assert_eq!(i.src, Some(Operand::Reg(Gpr::Ecx)));
+        assert_eq!(i.mnemonic, shift(ShiftOp::Sar, ShiftCount::Cl));
         let i = d(&[0xd1, 0xc8]); // ror eax, 1
-        assert_eq!(i.mnemonic, Mnemonic::Shift(ShiftOp::Ror));
-        assert_eq!(i.src, Some(Operand::Imm(1)));
+        assert_eq!(i.mnemonic, shift(ShiftOp::Ror, ShiftCount::Imm(1)));
     }
 
     #[test]
     fn movzx_movsx() {
         let i = d(&[0x0f, 0xb6, 0xc1]); // movzx eax, cl
-        assert_eq!(i.mnemonic, Mnemonic::Movzx(Width::W8));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Movzx {
+                from: Width::W8,
+                dst: Gpr::Eax,
+                src: Rm::Reg(Gpr::Ecx)
+            }
+        );
         let i = d(&[0x0f, 0xbf, 0xd3]); // movsx edx, bx
-        assert_eq!(i.mnemonic, Mnemonic::Movsx(Width::W16));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Movsx {
+                from: Width::W16,
+                dst: Gpr::Edx,
+                src: Rm::Reg(Gpr::Ebx)
+            }
+        );
     }
 
     #[test]
     fn lea_with_disp32_only() {
         // lea eax, [0x1234]
         let i = d(&[0x8d, 0x05, 0x34, 0x12, 0x00, 0x00]);
-        assert_eq!(i.mnemonic, Mnemonic::Lea);
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::abs(0x1234))));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Lea {
+                dst: Gpr::Eax,
+                addr: MemRef::abs(0x1234)
+            }
+        );
     }
 
     #[test]
     fn ebp_base_requires_disp() {
         // mod=01 rm=101: [ebp+disp8]
         let i = d(&[0x8b, 0x45, 0xfc]); // mov eax, [ebp-4]
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::base_disp(Gpr::Ebp, -4))));
+        assert!(matches!(
+            i.mnemonic,
+            Mnemonic::Mov { src: Operand::Mem(m), .. } if m == MemRef::base_disp(Gpr::Ebp, -4)
+        ));
     }
 
     #[test]
     fn esp_base_via_sib() {
         // mov eax, [esp+8]: 8b 44 24 08
         let i = d(&[0x8b, 0x44, 0x24, 0x08]);
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::base_disp(Gpr::Esp, 8))));
+        assert!(matches!(
+            i.mnemonic,
+            Mnemonic::Mov { src: Operand::Mem(m), .. } if m == MemRef::base_disp(Gpr::Esp, 8)
+        ));
     }
 
     #[test]
     fn indirect_jumps() {
         let i = d(&[0xff, 0xe0]); // jmp eax
-        assert_eq!(i.mnemonic, Mnemonic::JmpInd);
-        assert_eq!(i.src, Some(Operand::Reg(Gpr::Eax)));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::JmpInd {
+                target: Rm::Reg(Gpr::Eax)
+            }
+        );
         let i = d(&[0xff, 0x10]); // call [eax]
-        assert_eq!(i.mnemonic, Mnemonic::CallInd);
+        assert!(matches!(i.mnemonic, Mnemonic::CallInd { .. }));
     }
 
     #[test]
@@ -1115,8 +1115,12 @@ mod tests {
     #[test]
     fn enter_decodes_operands() {
         let i = d(&[0xc8, 0x20, 0x00, 0x00]); // enter 0x20, 0
-        assert_eq!(i.mnemonic, Mnemonic::Enter);
-        assert_eq!(i.src, Some(Operand::Imm(0x20)));
-        assert_eq!(i.src2, Some(Operand::Imm(0)));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Enter {
+                frame: 0x20,
+                nesting: 0
+            }
+        );
     }
 }

@@ -110,6 +110,10 @@ impl Asm {
     /// # Panics
     ///
     /// Panics on unbound labels or `rel8` targets out of range.
+    #[allow(
+        clippy::expect_used,
+        reason = "unbound labels and out-of-range rel8 branches are assembler misuse"
+    )]
     pub fn finish(mut self) -> Vec<u8> {
         for fix in std::mem::take(&mut self.fixups) {
             let target = self.labels[fix.label].expect("unbound label at finish");
@@ -169,6 +173,10 @@ impl Asm {
 
     /// Emits a ModRM (+SIB +disp) sequence for register field `reg` and a
     /// memory operand `m`.
+    #[allow(
+        clippy::unreachable,
+        reason = "MemRef::base_index admits only encodable scales"
+    )]
     fn modrm_mem(&mut self, reg: u8, m: MemRef) {
         let (md, disp_w) = match (m.base, m.disp) {
             (None, _) => (0u8, Some(Width::W32)),
@@ -207,17 +215,16 @@ impl Asm {
                 Some(Width::W32) => self.u32(m.disp as u32),
                 _ => {}
             }
-        } else if m.base.is_none() {
-            self.u8((reg << 3) | 5);
-            self.u32(m.disp as u32);
-        } else {
-            let base = m.base.expect("checked is_none above");
+        } else if let Some(base) = m.base {
             self.u8((md << 6) | (reg << 3) | base.num());
             match disp_w {
                 Some(Width::W8) => self.u8(m.disp as u8),
                 Some(Width::W32) => self.u32(m.disp as u32),
                 _ => {}
             }
+        } else {
+            self.u8((reg << 3) | 5);
+            self.u32(m.disp as u32);
         }
     }
 
@@ -736,7 +743,19 @@ impl Asm {
 #[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::{decode, Inst, Mnemonic, Operand};
+    use crate::{decode, Inst, Mnemonic, Operand, Rm, ShiftCount, StrOp};
+
+    /// The memory operand of a `mov` decoded from `i`, either side.
+    fn mov_mem(i: &Inst) -> Option<MemRef> {
+        match i.mnemonic {
+            Mnemonic::Mov {
+                src: Operand::Mem(m),
+                ..
+            }
+            | Mnemonic::Mov { dst: Rm::Mem(m), .. } => Some(m),
+            _ => None,
+        }
+    }
 
     fn roundtrip(f: impl FnOnce(&mut Asm)) -> Inst {
         let mut asm = Asm::new(0x1000);
@@ -750,31 +769,45 @@ mod tests {
     #[test]
     fn mov_forms_round_trip() {
         let i = roundtrip(|a| a.mov_ri(Gpr::Esi, 0xdead_beef));
-        assert_eq!(i.mnemonic, Mnemonic::Mov);
-        assert_eq!(i.src, Some(Operand::Imm(0xdead_beefu32 as i32)));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Mov {
+                dst: Rm::Reg(Gpr::Esi),
+                src: Operand::Imm(0xdead_beefu32 as i32)
+            }
+        );
 
         let i = roundtrip(|a| a.mov_rm(Gpr::Eax, MemRef::base_disp(Gpr::Ebp, -4)));
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::base_disp(Gpr::Ebp, -4))));
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Mov {
+                dst: Rm::Reg(Gpr::Eax),
+                src: Operand::Mem(MemRef::base_disp(Gpr::Ebp, -4))
+            }
+        );
 
         let i = roundtrip(|a| a.mov_mr(MemRef::base_index(Gpr::Ebx, Gpr::Edx, 8, 0x100), Gpr::Ecx));
         assert_eq!(
-            i.dst,
-            Some(Operand::Mem(MemRef::base_index(Gpr::Ebx, Gpr::Edx, 8, 0x100)))
+            i.mnemonic,
+            Mnemonic::Mov {
+                dst: Rm::Mem(MemRef::base_index(Gpr::Ebx, Gpr::Edx, 8, 0x100)),
+                src: Operand::Reg(Gpr::Ecx)
+            }
         );
     }
 
     #[test]
     fn esp_addressing_round_trips() {
         let i = roundtrip(|a| a.mov_rm(Gpr::Eax, MemRef::base_disp(Gpr::Esp, 8)));
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::base_disp(Gpr::Esp, 8))));
+        assert_eq!(mov_mem(&i), Some(MemRef::base_disp(Gpr::Esp, 8)));
         let i = roundtrip(|a| a.mov_rm(Gpr::Eax, MemRef::base_disp(Gpr::Esp, 0)));
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::base_disp(Gpr::Esp, 0))));
+        assert_eq!(mov_mem(&i), Some(MemRef::base_disp(Gpr::Esp, 0)));
     }
 
     #[test]
     fn ebp_no_disp_gets_disp8_zero() {
         let i = roundtrip(|a| a.mov_rm(Gpr::Eax, MemRef::base_disp(Gpr::Ebp, 0)));
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::base_disp(Gpr::Ebp, 0))));
+        assert_eq!(mov_mem(&i), Some(MemRef::base_disp(Gpr::Ebp, 0)));
     }
 
     #[test]
@@ -783,7 +816,13 @@ mod tests {
         assert_eq!(i.len, 3, "short imm8 form expected");
         let i = roundtrip(|a| a.alu_ri(AluOp::Add, Gpr::Eax, 0x1234));
         assert_eq!(i.len, 6, "imm32 form expected");
-        assert_eq!(i.src, Some(Operand::Imm(0x1234)));
+        assert!(matches!(
+            i.mnemonic,
+            Mnemonic::Alu {
+                src: Operand::Imm(0x1234),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -800,7 +839,7 @@ mod tests {
 
         // decode the jcc at 0x2001
         let i = decode(&code[1..], 0x2001).unwrap();
-        assert_eq!(i.mnemonic, Mnemonic::Jcc(Cond::E));
+        assert!(matches!(i.mnemonic, Mnemonic::Jcc { cond: Cond::E, .. }));
         let jcc_end = 0x2001 + i.len as u32;
         let jmp = decode(&code[(1 + i.len as usize)..], jcc_end).unwrap();
         assert_eq!(jmp.direct_target(), Some(0x2000));
@@ -809,20 +848,35 @@ mod tests {
 
     #[test]
     fn shift_one_uses_d1_form() {
+        let count = |i: Inst| match i.mnemonic {
+            Mnemonic::Shift { count, .. } => Some(count),
+            _ => None,
+        };
         let i = roundtrip(|a| a.shift_ri(ShiftOp::Shl, Gpr::Eax, 1));
         assert_eq!(i.len, 2);
-        assert_eq!(i.src, Some(Operand::Imm(1)));
+        assert_eq!(count(i), Some(ShiftCount::Imm(1)));
         let i = roundtrip(|a| a.shift_ri(ShiftOp::Sar, Gpr::Edx, 7));
-        assert_eq!(i.src, Some(Operand::Imm(7)));
+        assert_eq!(count(i), Some(ShiftCount::Imm(7)));
     }
 
     #[test]
     fn string_ops_with_rep() {
         let i = roundtrip(|a| a.movs(Width::W32, true));
-        assert!(i.rep);
-        assert_eq!(i.mnemonic, Mnemonic::Movs);
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Str {
+                op: StrOp::Movs,
+                rep: true
+            }
+        );
         let i = roundtrip(|a| a.stos(Width::W8, false));
-        assert!(!i.rep);
+        assert_eq!(
+            i.mnemonic,
+            Mnemonic::Str {
+                op: StrOp::Stos,
+                rep: false
+            }
+        );
         assert_eq!(i.width, Width::W8);
     }
 
@@ -830,19 +884,22 @@ mod tests {
     fn misc_round_trips() {
         assert_eq!(roundtrip(|a| a.leave()).mnemonic, Mnemonic::Leave);
         assert_eq!(roundtrip(|a| a.cpuid()).mnemonic, Mnemonic::Cpuid);
-        assert_eq!(roundtrip(|a| a.enter(32)).mnemonic, Mnemonic::Enter);
-        assert_eq!(
+        assert!(matches!(
+            roundtrip(|a| a.enter(32)).mnemonic,
+            Mnemonic::Enter { frame: 32, .. }
+        ));
+        assert!(matches!(
             roundtrip(|a| a.setcc_r(Cond::G, Gpr::Ecx)).mnemonic,
-            Mnemonic::Setcc(Cond::G)
-        );
-        assert_eq!(
+            Mnemonic::Setcc { cond: Cond::G, .. }
+        ));
+        assert!(matches!(
             roundtrip(|a| a.cmovcc_rr(Cond::L, Gpr::Eax, Gpr::Ebx)).mnemonic,
-            Mnemonic::Cmovcc(Cond::L)
-        );
-        assert_eq!(
-            roundtrip(|a| a.imul_rri(Gpr::Eax, Gpr::Ebx, 1000)).src2,
-            Some(Operand::Imm(1000))
-        );
+            Mnemonic::Cmovcc { cond: Cond::L, .. }
+        ));
+        assert!(matches!(
+            roundtrip(|a| a.imul_rri(Gpr::Eax, Gpr::Ebx, 1000)).mnemonic,
+            Mnemonic::ImulImm { imm: 1000, .. }
+        ));
     }
 
     #[test]
@@ -857,6 +914,6 @@ mod tests {
     #[test]
     fn absolute_memory_operand() {
         let i = roundtrip(|a| a.mov_rm(Gpr::Eax, MemRef::abs(0x1234_5678)));
-        assert_eq!(i.src, Some(Operand::Mem(MemRef::abs(0x1234_5678))));
+        assert_eq!(mov_mem(&i), Some(MemRef::abs(0x1234_5678)));
     }
 }

@@ -1,4 +1,11 @@
 //! The decoded-instruction model.
+//!
+//! Each [`Mnemonic`] carries exactly the operands its encodings have, in
+//! the shapes they can take: a destination is an [`Rm`] (never an
+//! immediate), an `LEA` source is a [`MemRef`], a shift count is an
+//! immediate or `CL`, and a direct branch holds its resolved target. The
+//! interpreter and the cracker destructure the form they match, so there
+//! is no operand presence left to check at run time.
 
 use crate::{AluOp, Cond, Gpr, ShiftOp, Width};
 
@@ -52,12 +59,6 @@ impl MemRef {
             disp,
         }
     }
-
-    /// True if address generation needs an index addition (affects the
-    /// number of micro-ops the instruction cracks into).
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
-    }
 }
 
 impl std::fmt::Display for MemRef {
@@ -89,7 +90,17 @@ impl std::fmt::Display for MemRef {
     }
 }
 
-/// One operand of a decoded instruction.
+/// A register or memory operand (the ModRM `r/m` field). Every
+/// destination is one of these, so no destination can be an immediate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rm {
+    /// A register, interpreted at the instruction's width.
+    Reg(Gpr),
+    /// A memory reference.
+    Mem(MemRef),
+}
+
+/// A source operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A register, interpreted at the instruction's width.
@@ -98,6 +109,22 @@ pub enum Operand {
     Mem(MemRef),
     /// An immediate (sign-extended to 32 bits at decode time).
     Imm(i32),
+}
+
+impl From<Rm> for Operand {
+    #[inline]
+    fn from(rm: Rm) -> Operand {
+        match rm {
+            Rm::Reg(r) => Operand::Reg(r),
+            Rm::Mem(m) => Operand::Mem(m),
+        }
+    }
+}
+
+impl std::fmt::Display for Rm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        Operand::from(*self).fmt(f)
+    }
 }
 
 impl std::fmt::Display for Operand {
@@ -110,65 +137,219 @@ impl std::fmt::Display for Operand {
     }
 }
 
-/// Instruction operation, with sub-operation selectors folded in.
+/// The count of a shift or rotate (masked to five bits when applied).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ShiftCount {
+    /// An immediate count (`1` for the `D0`/`D1` forms).
+    Imm(u8),
+    /// The count in `CL`.
+    Cl,
+}
+
+impl std::fmt::Display for ShiftCount {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShiftCount::Imm(c) => write!(f, "{c:#x}"),
+            ShiftCount::Cl => write!(f, "{}", Gpr::Ecx),
+        }
+    }
+}
+
+/// A string operation: one element per retired iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StrOp {
+    /// String move.
+    Movs,
+    /// String store.
+    Stos,
+    /// String load.
+    Lods,
+}
+
+/// Instruction operation, with its sub-operation selectors and operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mnemonic {
     /// Data move (register, memory or immediate forms).
-    Mov,
+    Mov {
+        /// Destination.
+        dst: Rm,
+        /// Source.
+        src: Operand,
+    },
     /// Zero-extending move from a narrower source.
-    Movzx(Width),
+    Movzx {
+        /// Source width.
+        from: Width,
+        /// Destination register.
+        dst: Gpr,
+        /// Source.
+        src: Rm,
+    },
     /// Sign-extending move from a narrower source.
-    Movsx(Width),
+    Movsx {
+        /// Source width.
+        from: Width,
+        /// Destination register.
+        dst: Gpr,
+        /// Source.
+        src: Rm,
+    },
     /// Load effective address.
-    Lea,
+    Lea {
+        /// Destination register.
+        dst: Gpr,
+        /// The address computed.
+        addr: MemRef,
+    },
     /// Exchange two operands.
-    Xchg,
+    Xchg {
+        /// First operand.
+        dst: Rm,
+        /// Second operand.
+        src: Gpr,
+    },
     /// Push onto the stack.
-    Push,
+    Push {
+        /// Value pushed.
+        src: Operand,
+    },
     /// Pop from the stack.
-    Pop,
+    Pop {
+        /// Destination.
+        dst: Rm,
+    },
     /// Two-operand ALU operation (ADD/OR/ADC/SBB/AND/SUB/XOR/CMP/TEST).
-    Alu(AluOp),
+    Alu {
+        /// Operation.
+        op: AluOp,
+        /// Destination, also the first source.
+        dst: Rm,
+        /// Second source.
+        src: Operand,
+    },
     /// Increment (CF preserved).
-    Inc,
+    Inc {
+        /// Operand.
+        dst: Rm,
+    },
     /// Decrement (CF preserved).
-    Dec,
+    Dec {
+        /// Operand.
+        dst: Rm,
+    },
     /// Two's-complement negate.
-    Neg,
+    Neg {
+        /// Operand.
+        dst: Rm,
+    },
     /// One's-complement invert (no flags).
-    Not,
-    /// Unsigned widening multiply into EDX:EAX.
-    Mul,
-    /// Signed widening multiply into EDX:EAX.
-    ImulWide,
-    /// Truncating signed multiply (`r = r * r/m` or `r = r/m * imm`).
-    Imul,
+    Not {
+        /// Operand.
+        dst: Rm,
+    },
+    /// Unsigned widening multiply of EAX into EDX:EAX.
+    Mul {
+        /// Multiplier.
+        src: Rm,
+    },
+    /// Signed widening multiply of EAX into EDX:EAX.
+    ImulWide {
+        /// Multiplier.
+        src: Rm,
+    },
+    /// Truncating signed multiply `dst = dst * src`.
+    Imul {
+        /// Destination, also the first factor.
+        dst: Gpr,
+        /// Second factor.
+        src: Rm,
+    },
+    /// Truncating signed multiply `dst = src * imm`.
+    ImulImm {
+        /// Destination.
+        dst: Gpr,
+        /// First factor.
+        src: Rm,
+        /// Second factor.
+        imm: i32,
+    },
     /// Unsigned divide of EDX:EAX.
-    Div,
+    Div {
+        /// Divisor.
+        src: Rm,
+    },
     /// Signed divide of EDX:EAX.
-    Idiv,
+    Idiv {
+        /// Divisor.
+        src: Rm,
+    },
     /// Shift or rotate.
-    Shift(ShiftOp),
+    Shift {
+        /// Operation.
+        op: ShiftOp,
+        /// Operand.
+        dst: Rm,
+        /// Count.
+        count: ShiftCount,
+    },
     /// Conditional near branch.
-    Jcc(Cond),
+    Jcc {
+        /// Branch condition.
+        cond: Cond,
+        /// Absolute target, resolved at decode time.
+        target: u32,
+    },
     /// Unconditional direct branch.
-    Jmp,
+    Jmp {
+        /// Absolute target.
+        target: u32,
+    },
     /// Indirect branch through register or memory.
-    JmpInd,
+    JmpInd {
+        /// Operand holding the target.
+        target: Rm,
+    },
     /// Direct call.
-    Call,
+    Call {
+        /// Absolute target.
+        target: u32,
+    },
     /// Indirect call.
-    CallInd,
-    /// Near return (optionally popping extra bytes).
-    Ret,
+    CallInd {
+        /// Operand holding the target.
+        target: Rm,
+    },
+    /// Near return.
+    Ret {
+        /// Extra bytes popped after the return address.
+        pop: u16,
+    },
     /// Decrement ECX and branch if non-zero.
-    Loop,
+    Loop {
+        /// Absolute target.
+        target: u32,
+    },
     /// Branch if ECX is zero.
-    Jecxz,
+    Jecxz {
+        /// Absolute target.
+        target: u32,
+    },
     /// Set byte on condition.
-    Setcc(Cond),
+    Setcc {
+        /// Condition.
+        cond: Cond,
+        /// Byte destination.
+        dst: Rm,
+    },
     /// Conditional move.
-    Cmovcc(Cond),
+    Cmovcc {
+        /// Condition.
+        cond: Cond,
+        /// Destination register.
+        dst: Gpr,
+        /// Source.
+        src: Rm,
+    },
     /// Sign-extend AX into EAX (`CWDE`) — width selects CBW vs CWDE.
     Cwde,
     /// Sign-extend EAX into EDX:EAX (`CDQ`).
@@ -177,18 +358,24 @@ pub enum Mnemonic {
     Cld,
     /// Set the direction flag.
     Std,
-    /// String move (one element per retired iteration).
-    Movs,
-    /// String store.
-    Stos,
-    /// String load.
-    Lods,
+    /// String move, store or load (complex/microcoded).
+    Str {
+        /// Which string operation.
+        op: StrOp,
+        /// `REP` prefix present: ECX counts the iterations.
+        rep: bool,
+    },
     /// Push all eight GPRs (complex/microcoded).
     Pusha,
     /// Pop all eight GPRs (complex/microcoded).
     Popa,
     /// Build a stack frame (complex/microcoded).
-    Enter,
+    Enter {
+        /// Bytes of locals allocated.
+        frame: u16,
+        /// Lexical nesting level (decoded; the frame model ignores it).
+        nesting: u8,
+    },
     /// Tear down a stack frame.
     Leave,
     /// No operation.
@@ -224,14 +411,22 @@ impl Mnemonic {
         self.branch_kind().is_some()
     }
 
+    /// True if a basic block ends here: a control transfer, `HLT` or
+    /// `INT3`.
+    pub fn ends_block(self) -> bool {
+        self.is_cti() || matches!(self, Mnemonic::Hlt | Mnemonic::Int3)
+    }
+
     /// The branch classification, if this is a CTI.
     pub fn branch_kind(self) -> Option<BranchKind> {
         match self {
-            Mnemonic::Jcc(_) | Mnemonic::Loop | Mnemonic::Jecxz => Some(BranchKind::Conditional),
-            Mnemonic::Jmp => Some(BranchKind::Unconditional),
-            Mnemonic::Call => Some(BranchKind::Call),
-            Mnemonic::Ret => Some(BranchKind::Return),
-            Mnemonic::JmpInd | Mnemonic::CallInd => Some(BranchKind::Indirect),
+            Mnemonic::Jcc { .. } | Mnemonic::Loop { .. } | Mnemonic::Jecxz { .. } => {
+                Some(BranchKind::Conditional)
+            }
+            Mnemonic::Jmp { .. } => Some(BranchKind::Unconditional),
+            Mnemonic::Call { .. } => Some(BranchKind::Call),
+            Mnemonic::Ret { .. } => Some(BranchKind::Return),
+            Mnemonic::JmpInd { .. } | Mnemonic::CallInd { .. } => Some(BranchKind::Indirect),
             _ => None,
         }
     }
@@ -242,12 +437,10 @@ impl Mnemonic {
     pub fn is_complex(self) -> bool {
         matches!(
             self,
-            Mnemonic::Movs
-                | Mnemonic::Stos
-                | Mnemonic::Lods
+            Mnemonic::Str { .. }
                 | Mnemonic::Pusha
                 | Mnemonic::Popa
-                | Mnemonic::Enter
+                | Mnemonic::Enter { .. }
                 | Mnemonic::Cpuid
         )
     }
@@ -256,33 +449,25 @@ impl Mnemonic {
 /// A decoded x86 instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Inst {
-    /// Operation.
+    /// Operation and operands.
     pub mnemonic: Mnemonic,
     /// Operand width.
     pub width: Width,
-    /// Destination operand (also first source for read-modify-write ops).
-    pub dst: Option<Operand>,
-    /// Source operand.
-    pub src: Option<Operand>,
-    /// Second source (three-operand `IMUL`, `ENTER`).
-    pub src2: Option<Operand>,
     /// Encoded length in bytes (1–15).
     pub len: u8,
-    /// `REP` prefix present (string instructions).
-    pub rep: bool,
 }
 
+// Decoded instructions are copied into every retirement record and
+// cached per PC; the typed forms must not grow them.
+const _: () = assert!(std::mem::size_of::<Inst>() <= 32);
+
 impl Inst {
-    /// Creates an instruction with no operands.
-    pub fn nullary(mnemonic: Mnemonic, width: Width, len: u8) -> Inst {
+    /// Creates an instruction.
+    pub fn new(mnemonic: Mnemonic, width: Width, len: u8) -> Inst {
         Inst {
             mnemonic,
             width,
-            dst: None,
-            src: None,
-            src2: None,
             len,
-            rep: false,
         }
     }
 
@@ -290,63 +475,70 @@ impl Inst {
     /// at decode time).
     pub fn direct_target(&self) -> Option<u32> {
         match self.mnemonic {
-            Mnemonic::Jcc(_)
-            | Mnemonic::Jmp
-            | Mnemonic::Call
-            | Mnemonic::Loop
-            | Mnemonic::Jecxz => match self.src {
-                Some(Operand::Imm(t)) => Some(t as u32),
-                _ => None,
-            },
+            Mnemonic::Jcc { target, .. }
+            | Mnemonic::Jmp { target }
+            | Mnemonic::Call { target }
+            | Mnemonic::Loop { target }
+            | Mnemonic::Jecxz { target } => Some(target),
             _ => None,
         }
-    }
-
-    /// True if execution falls through to the next sequential instruction
-    /// on at least one path.
-    pub fn may_fall_through(&self) -> bool {
-        !matches!(
-            self.mnemonic,
-            Mnemonic::Jmp | Mnemonic::JmpInd | Mnemonic::Ret | Mnemonic::Hlt
-        )
-    }
-
-    /// Number of memory operands this instruction touches architecturally
-    /// (not counting implicit stack traffic).
-    pub fn explicit_mem_operands(&self) -> usize {
-        [self.dst, self.src, self.src2]
-            .iter()
-            .filter(|o| matches!(o, Some(Operand::Mem(_))))
-            .count()
     }
 }
 
 impl std::fmt::Display for Inst {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name: String = match self.mnemonic {
-            Mnemonic::Alu(op) => format!("{op:?}").to_lowercase(),
-            Mnemonic::Shift(op) => format!("{op:?}").to_lowercase(),
-            Mnemonic::Jcc(c) => format!("j{c}"),
-            Mnemonic::Setcc(c) => format!("set{c}"),
-            Mnemonic::Cmovcc(c) => format!("cmov{c}"),
-            Mnemonic::Movzx(_) => "movzx".into(),
-            Mnemonic::Movsx(_) => "movsx".into(),
-            m => format!("{m:?}").to_lowercase(),
+        use Mnemonic as M;
+        let name = match self.mnemonic {
+            M::Alu { op, .. } => format!("{op:?}"),
+            M::Shift { op, .. } => format!("{op:?}"),
+            M::Str { op, .. } => format!("{op:?}"),
+            M::Jcc { cond, .. } => format!("j{cond}"),
+            M::Setcc { cond, .. } => format!("set{cond}"),
+            M::Cmovcc { cond, .. } => format!("cmov{cond}"),
+            M::ImulImm { .. } => "imul".into(),
+            // The variant name: the Debug text up to its operand fields.
+            m => format!("{m:?}")
+                .split(' ')
+                .next()
+                .unwrap_or_default()
+                .into(),
         };
-        write!(f, "{name}")?;
+        write!(f, "{}", name.to_lowercase())?;
         if self.width != Width::W32 {
             write!(f, ".{}", self.width)?;
         }
-        if let Some(d) = self.dst {
-            write!(f, " {d}")?;
+        // Operands print as `mnemonic dst, src, src2`; a form without a
+        // destination starts at the comma.
+        match self.mnemonic {
+            M::Mov { dst, src } | M::Alu { dst, src, .. } => write!(f, " {dst}, {src}"),
+            M::Movzx { dst, src, .. }
+            | M::Movsx { dst, src, .. }
+            | M::Imul { dst, src }
+            | M::Cmovcc { dst, src, .. } => write!(f, " {dst}, {src}"),
+            M::ImulImm { dst, src, imm } => write!(f, " {dst}, {src}, {}", Operand::Imm(imm)),
+            M::Lea { dst, addr } => write!(f, " {dst}, {addr}"),
+            M::Xchg { dst, src } => write!(f, " {dst}, {src}"),
+            M::Shift { dst, count, .. } => write!(f, " {dst}, {count}"),
+            M::Pop { dst }
+            | M::Inc { dst }
+            | M::Dec { dst }
+            | M::Neg { dst }
+            | M::Not { dst }
+            | M::Setcc { dst, .. } => write!(f, " {dst}"),
+            M::Mul { src } | M::ImulWide { src } | M::Div { src } | M::Idiv { src } => {
+                write!(f, " {src}")
+            }
+            M::Push { src } => write!(f, ", {src}"),
+            M::JmpInd { target } | M::CallInd { target } => write!(f, ", {target}"),
+            M::Jcc { target, .. }
+            | M::Jmp { target }
+            | M::Call { target }
+            | M::Loop { target }
+            | M::Jecxz { target } => write!(f, ", {target:#x}"),
+            M::Ret { pop } if pop != 0 => write!(f, ", {pop:#x}"),
+            M::Enter { frame, nesting } => write!(f, ", {frame:#x}, {nesting:#x}"),
+            _ => Ok(()),
         }
-        if let Some(s) = self.src {
-            write!(f, ", {s}")?;
-        }
-        if let Some(s) = self.src2 {
-            write!(f, ", {s}")?;
-        }
-        Ok(())
     }
 }
 
@@ -357,45 +549,66 @@ mod tests {
 
     #[test]
     fn cti_classification() {
+        let jcc = Mnemonic::Jcc {
+            cond: Cond::E,
+            target: 0,
+        };
+        assert_eq!(jcc.branch_kind(), Some(BranchKind::Conditional));
         assert_eq!(
-            Mnemonic::Jcc(Cond::E).branch_kind(),
-            Some(BranchKind::Conditional)
+            Mnemonic::Ret { pop: 0 }.branch_kind(),
+            Some(BranchKind::Return)
         );
-        assert_eq!(Mnemonic::Ret.branch_kind(), Some(BranchKind::Return));
-        assert_eq!(Mnemonic::CallInd.branch_kind(), Some(BranchKind::Indirect));
-        assert!(Mnemonic::Mov.branch_kind().is_none());
-        assert!(Mnemonic::Jmp.is_cti());
-        assert!(!Mnemonic::Alu(AluOp::Add).is_cti());
+        let call_ind = Mnemonic::CallInd {
+            target: Rm::Reg(Gpr::Eax),
+        };
+        assert_eq!(call_ind.branch_kind(), Some(BranchKind::Indirect));
+        let mov = Mnemonic::Mov {
+            dst: Rm::Reg(Gpr::Eax),
+            src: Operand::Imm(0),
+        };
+        assert!(mov.branch_kind().is_none());
+        assert!(Mnemonic::Jmp { target: 0 }.is_cti());
+        let add = Mnemonic::Alu {
+            op: AluOp::Add,
+            dst: Rm::Reg(Gpr::Eax),
+            src: Operand::Imm(1),
+        };
+        assert!(!add.is_cti());
     }
 
     #[test]
     fn complex_set_matches_paper_model() {
-        assert!(Mnemonic::Movs.is_complex());
+        let movs = Mnemonic::Str {
+            op: StrOp::Movs,
+            rep: false,
+        };
+        assert!(movs.is_complex());
         assert!(Mnemonic::Pusha.is_complex());
         assert!(Mnemonic::Cpuid.is_complex());
-        assert!(!Mnemonic::Mov.is_complex());
-        assert!(!Mnemonic::Jcc(Cond::E).is_complex());
+        let mov = Mnemonic::Mov {
+            dst: Rm::Reg(Gpr::Eax),
+            src: Operand::Imm(0),
+        };
+        assert!(!mov.is_complex());
+        let jcc = Mnemonic::Jcc {
+            cond: Cond::E,
+            target: 0,
+        };
+        assert!(!jcc.is_complex());
     }
 
     #[test]
     fn direct_target_extraction() {
-        let i = Inst {
-            mnemonic: Mnemonic::Jmp,
-            width: Width::W32,
-            dst: None,
-            src: Some(Operand::Imm(0x40_1000)),
-            src2: None,
-            len: 5,
-            rep: false,
-        };
+        let i = Inst::new(Mnemonic::Jmp { target: 0x40_1000 }, Width::W32, 5);
         assert_eq!(i.direct_target(), Some(0x40_1000));
-        assert!(!i.may_fall_through());
+        // An unconditional jump never falls through.
+        assert_eq!(i.mnemonic.branch_kind(), Some(BranchKind::Unconditional));
     }
 
     #[test]
     fn memref_display_and_builders() {
         let m = MemRef::base_index(Gpr::Eax, Gpr::Ecx, 4, -8);
-        assert!(m.has_index());
+        assert_eq!(m.index, Some(Gpr::Ecx));
         assert_eq!(format!("{m}"), "[eax+ecx*4-0x8]");
         let a = MemRef::abs(0x1000);
         assert_eq!(format!("{a}"), "[0x1000]");
@@ -409,15 +622,101 @@ mod tests {
 
     #[test]
     fn explicit_mem_operand_count() {
-        let i = Inst {
-            mnemonic: Mnemonic::Alu(AluOp::Add),
-            width: Width::W32,
-            dst: Some(Operand::Mem(MemRef::base_disp(Gpr::Eax, 0))),
-            src: Some(Operand::Reg(Gpr::Ebx)),
-            src2: None,
-            len: 2,
-            rep: false,
-        };
-        assert_eq!(i.explicit_mem_operands(), 1);
+        let i = Inst::new(
+            Mnemonic::Alu {
+                op: AluOp::Add,
+                dst: Rm::Mem(MemRef::base_disp(Gpr::Eax, 0)),
+                src: Operand::Reg(Gpr::Ebx),
+            },
+            Width::W32,
+            2,
+        );
+        // One memory operand: the destination; the source is a register.
+        assert!(matches!(
+            i.mnemonic,
+            Mnemonic::Alu {
+                dst: Rm::Mem(_),
+                src: Operand::Reg(_),
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn display_lists_operands_in_encoding_order() {
+        let eax = Rm::Reg(Gpr::Eax);
+        let cases = [
+            (
+                Mnemonic::Alu {
+                    op: AluOp::Add,
+                    dst: Rm::Mem(MemRef::base_disp(Gpr::Eax, 4)),
+                    src: Operand::Imm(-1),
+                },
+                Width::W16,
+                "add.16 [eax+0x4], 0xffffffff",
+            ),
+            (
+                Mnemonic::Push {
+                    src: Operand::Reg(Gpr::Esi),
+                },
+                Width::W32,
+                "push, esi",
+            ),
+            (
+                Mnemonic::ImulImm {
+                    dst: Gpr::Eax,
+                    src: Rm::Reg(Gpr::Ebx),
+                    imm: 1000,
+                },
+                Width::W32,
+                "imul eax, ebx, 0x3e8",
+            ),
+            (
+                Mnemonic::Movzx {
+                    from: Width::W8,
+                    dst: Gpr::Eax,
+                    src: Rm::Reg(Gpr::Ecx),
+                },
+                Width::W32,
+                "movzx eax, ecx",
+            ),
+            (
+                Mnemonic::Str {
+                    op: StrOp::Stos,
+                    rep: true,
+                },
+                Width::W8,
+                "stos.8",
+            ),
+            (
+                Mnemonic::Shift {
+                    op: ShiftOp::Sar,
+                    dst: eax,
+                    count: ShiftCount::Cl,
+                },
+                Width::W32,
+                "sar eax, ecx",
+            ),
+            (
+                Mnemonic::Jcc {
+                    cond: Cond::Ne,
+                    target: 0x40_0010,
+                },
+                Width::W32,
+                "jne, 0x400010",
+            ),
+            (Mnemonic::Ret { pop: 8 }, Width::W32, "ret, 0x8"),
+            (
+                Mnemonic::Enter {
+                    frame: 0x20,
+                    nesting: 0,
+                },
+                Width::W32,
+                "enter, 0x20, 0x0",
+            ),
+        ];
+        for (m, w, text) in cases {
+            assert_eq!(Inst::new(m, w, 1).to_string(), text);
+        }
     }
 }

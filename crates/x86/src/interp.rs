@@ -10,7 +10,7 @@ use cdvm_mem::Memory;
 use crate::reg::{read_gpr, write_gpr};
 use crate::{
     alu, decode::Decoder, BranchKind, DecodeError, Flags, Gpr, Inst, MemRef, Mnemonic,
-    Operand, Width,
+    Operand, Rm, ShiftCount, StrOp, Width,
 };
 
 /// Architected x86 register state.
@@ -219,13 +219,11 @@ impl Interp {
     /// ([`Decoder::uop_memo`]; `0` = not yet computed) so callers that
     /// model hardware cracking pay one side-table fill per decoded
     /// instruction per decoder generation instead of a map probe per
-    /// execution, and the [`Memory::code_version`] the instruction was
-    /// decoded under ([`Decoder::code_version`]), so a caller keeping
-    /// such counts across generations can tell when self-modifying code
-    /// has made them stale. The step core is monomorphized per closure
-    /// and inlined into this loop, keeping `Cpu` and the decode cursor in
-    /// registers across instructions — the caller's per-step dispatch
-    /// disappears.
+    /// execution. The slot dies with the decode it annotates, so a store
+    /// into fetched code (which clears the decoder) leaves no stale count
+    /// behind. The step core is monomorphized per closure and inlined
+    /// into this loop, keeping `Cpu` and the decode cursor in registers
+    /// across instructions — the caller's per-step dispatch disappears.
     ///
     /// Observable behavior is identical to calling [`Interp::step`] in a
     /// loop: the decoder's request/hit counters advance per instruction,
@@ -241,7 +239,7 @@ impl Interp {
         &mut self,
         cpu: &mut Cpu,
         mem: &mut impl Memory,
-        retire: &mut impl FnMut(&Retired, &mut u32, u64) -> bool,
+        retire: &mut impl FnMut(&Retired, &mut u32) -> bool,
     ) -> Result<(), Fault> {
         while self.step_inline(cpu, mem, retire)? {}
         Ok(())
@@ -255,7 +253,7 @@ impl Interp {
         &mut self,
         cpu: &mut Cpu,
         mem: &mut impl Memory,
-        retire: &mut impl FnMut(&Retired, &mut u32, u64) -> bool,
+        retire: &mut impl FnMut(&Retired, &mut u32) -> bool,
     ) -> Result<bool, Fault> {
         let pc = cpu.eip;
         let (inst, idx) = self
@@ -264,8 +262,7 @@ impl Interp {
             .map_err(|err| Fault::Decode { pc, err })?;
         let r = exec(cpu, mem, &inst, pc)?;
         self.retired += 1;
-        let code_version = self.decoder.code_version();
-        Ok(retire(&r, self.decoder.uop_memo(idx), code_version))
+        Ok(retire(&r, self.decoder.uop_memo(idx)))
     }
 }
 
@@ -297,18 +294,15 @@ fn read_operand(
 }
 
 #[inline(always)]
-fn write_operand(
-    cpu: &mut Cpu,
-    mem: &mut impl Memory,
-    op: Operand,
-    w: Width,
-    v: u32,
-    acc: &mut MemList,
-) {
-    match op {
-        Operand::Reg(r) => cpu.write(r, w, v),
-        Operand::Imm(_) => unreachable!("immediate destination"),
-        Operand::Mem(m) => {
+fn read_rm(cpu: &Cpu, mem: &mut impl Memory, rm: Rm, w: Width, acc: &mut MemList) -> u32 {
+    read_operand(cpu, mem, rm.into(), w, acc)
+}
+
+#[inline(always)]
+fn write_rm(cpu: &mut Cpu, mem: &mut impl Memory, rm: Rm, w: Width, v: u32, acc: &mut MemList) {
+    match rm {
+        Rm::Reg(r) => cpu.write(r, w, v),
+        Rm::Mem(m) => {
             let addr = cpu.effective_addr(m);
             acc.push(MemAccess {
                 addr,
@@ -381,75 +375,92 @@ pub fn exec(
     let mut branch = None;
     let mut halted = false;
 
+    // A taken-or-not direct branch: `next` and the outcome for `target`.
+    let cond_branch = |taken: bool, target: u32| {
+        let to = if taken { target } else { fall };
+        (
+            to,
+            Some(BranchOutcome {
+                kind: BranchKind::Conditional,
+                taken,
+                target: to,
+            }),
+        )
+    };
+    let jump = |kind, target| {
+        Some(BranchOutcome {
+            kind,
+            taken: true,
+            target,
+        })
+    };
+
     match inst.mnemonic {
-        Mnemonic::Mov => {
-            let v = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), w, &mut acc);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, v, &mut acc);
+        Mnemonic::Mov { dst, src } => {
+            let v = read_operand(cpu, mem, src, w, &mut acc);
+            write_rm(cpu, mem, dst, w, v, &mut acc);
         }
-        Mnemonic::Movzx(sw) => {
-            let v = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), sw, &mut acc);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, v, &mut acc);
+        Mnemonic::Movzx { from, dst, src } => {
+            let v = read_rm(cpu, mem, src, from, &mut acc);
+            cpu.write(dst, w, v);
         }
-        Mnemonic::Movsx(sw) => {
-            let v = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), sw, &mut acc);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, sw.sext(v), &mut acc);
+        Mnemonic::Movsx { from, dst, src } => {
+            let v = read_rm(cpu, mem, src, from, &mut acc);
+            cpu.write(dst, w, from.sext(v));
         }
-        Mnemonic::Lea => {
-            let Operand::Mem(m) = inst.src.expect("decoder invariant: source operand present") else {
-                unreachable!("LEA with non-memory source");
-            };
-            let a = cpu.effective_addr(m);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, a, &mut acc);
+        Mnemonic::Lea { dst, addr } => {
+            let a = cpu.effective_addr(addr);
+            cpu.write(dst, w, a);
         }
-        Mnemonic::Xchg => {
-            let a = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
-            let b = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), w, &mut acc);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, b, &mut acc);
-            write_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), w, a, &mut acc);
+        Mnemonic::Xchg { dst, src } => {
+            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            let b = cpu.read(src, w);
+            write_rm(cpu, mem, dst, w, b, &mut acc);
+            cpu.write(src, w, a);
         }
-        Mnemonic::Push => {
-            let v = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), Width::W32, &mut acc);
+        Mnemonic::Push { src } => {
+            let v = read_operand(cpu, mem, src, Width::W32, &mut acc);
             push32(cpu, mem, v, &mut acc);
         }
-        Mnemonic::Pop => {
+        Mnemonic::Pop { dst } => {
             let v = pop32(cpu, mem, &mut acc);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), Width::W32, v, &mut acc);
+            write_rm(cpu, mem, dst, Width::W32, v, &mut acc);
         }
-        Mnemonic::Alu(op) => {
-            let a = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
-            let b = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), w, &mut acc);
+        Mnemonic::Alu { op, dst, src } => {
+            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            let b = read_operand(cpu, mem, src, w, &mut acc);
             let (r, s) = alu::alu(op, w, a, b, cpu.flags.cf());
             if !op.discards_result() {
-                write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, r, &mut acc);
+                write_rm(cpu, mem, dst, w, r, &mut acc);
             }
             cpu.flags.set_status(s);
         }
-        Mnemonic::Inc => {
-            let a = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
+        Mnemonic::Inc { dst } => {
+            let a = read_rm(cpu, mem, dst, w, &mut acc);
             let (r, s) = alu::inc(w, a);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, r, &mut acc);
+            write_rm(cpu, mem, dst, w, r, &mut acc);
             cpu.flags.set_status_keep_cf(s);
         }
-        Mnemonic::Dec => {
-            let a = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
+        Mnemonic::Dec { dst } => {
+            let a = read_rm(cpu, mem, dst, w, &mut acc);
             let (r, s) = alu::dec(w, a);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, r, &mut acc);
+            write_rm(cpu, mem, dst, w, r, &mut acc);
             cpu.flags.set_status_keep_cf(s);
         }
-        Mnemonic::Neg => {
-            let a = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
+        Mnemonic::Neg { dst } => {
+            let a = read_rm(cpu, mem, dst, w, &mut acc);
             let (r, s) = alu::neg(w, a);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, r, &mut acc);
+            write_rm(cpu, mem, dst, w, r, &mut acc);
             cpu.flags.set_status(s);
         }
-        Mnemonic::Not => {
-            let a = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, !a & w.mask(), &mut acc);
+        Mnemonic::Not { dst } => {
+            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            write_rm(cpu, mem, dst, w, !a & w.mask(), &mut acc);
         }
-        Mnemonic::Mul | Mnemonic::ImulWide => {
+        Mnemonic::Mul { src } | Mnemonic::ImulWide { src } => {
             let a = cpu.read(Gpr::Eax, w);
-            let b = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
-            let (lo, hi, s) = if inst.mnemonic == Mnemonic::Mul {
+            let b = read_rm(cpu, mem, src, w, &mut acc);
+            let (lo, hi, s) = if matches!(inst.mnemonic, Mnemonic::Mul { .. }) {
                 alu::mul(w, a, b)
             } else {
                 alu::imul_wide(w, a, b)
@@ -463,23 +474,21 @@ pub fn exec(
             }
             cpu.flags.set_status(s);
         }
-        Mnemonic::Imul => {
-            let (a, b) = match inst.src2 {
-                Some(Operand::Imm(i)) => (
-                    read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), w, &mut acc),
-                    (i as u32) & w.mask(),
-                ),
-                _ => (
-                    read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc),
-                    read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), w, &mut acc),
-                ),
-            };
+        Mnemonic::Imul { dst, src } => {
+            let a = cpu.read(dst, w);
+            let b = read_rm(cpu, mem, src, w, &mut acc);
             let (r, s) = alu::imul_trunc(w, a, b);
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, r, &mut acc);
+            cpu.write(dst, w, r);
             cpu.flags.set_status(s);
         }
-        Mnemonic::Div | Mnemonic::Idiv => {
-            let divisor = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
+        Mnemonic::ImulImm { dst, src, imm } => {
+            let a = read_rm(cpu, mem, src, w, &mut acc);
+            let (r, s) = alu::imul_trunc(w, a, (imm as u32) & w.mask());
+            cpu.write(dst, w, r);
+            cpu.flags.set_status(s);
+        }
+        Mnemonic::Div { src } | Mnemonic::Idiv { src } => {
+            let divisor = read_rm(cpu, mem, src, w, &mut acc);
             let (lo, hi) = match w {
                 Width::W8 => {
                     let ax = cpu.read(Gpr::Eax, Width::W16);
@@ -487,7 +496,7 @@ pub fn exec(
                 }
                 _ => (cpu.read(Gpr::Eax, w), cpu.read(Gpr::Edx, w)),
             };
-            let res = if inst.mnemonic == Mnemonic::Div {
+            let res = if matches!(inst.mnemonic, Mnemonic::Div { .. }) {
                 alu::div(w, lo, hi, divisor)
             } else {
                 alu::idiv(w, lo, hi, divisor)
@@ -503,111 +512,60 @@ pub fn exec(
                 }
             }
         }
-        Mnemonic::Shift(op) => {
-            let count = match inst.src.expect("decoder invariant: source operand present") {
-                Operand::Imm(i) => i as u32,
-                Operand::Reg(_) => cpu.read(Gpr::Ecx, Width::W8),
-                Operand::Mem(_) => unreachable!("shift count from memory"),
+        Mnemonic::Shift { op, dst, count } => {
+            let count = match count {
+                ShiftCount::Imm(c) => u32::from(c),
+                ShiftCount::Cl => cpu.read(Gpr::Ecx, Width::W8),
             };
-            let a = read_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, &mut acc);
+            let a = read_rm(cpu, mem, dst, w, &mut acc);
             if let Some((r, f)) = alu::shift(op, w, a, count, cpu.flags) {
-                write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, r, &mut acc);
+                write_rm(cpu, mem, dst, w, r, &mut acc);
                 cpu.flags = f;
             }
         }
-        Mnemonic::Jcc(c) => {
-            let target = inst.direct_target().expect("decoder invariant: direct branch target present");
-            let taken = c.eval(cpu.flags);
-            if taken {
-                next = target;
-            }
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Conditional,
-                taken,
-                target: if taken { target } else { fall },
-            });
+        Mnemonic::Jcc { cond, target } => {
+            (next, branch) = cond_branch(cond.eval(cpu.flags), target);
         }
-        Mnemonic::Jmp => {
-            next = inst.direct_target().expect("decoder invariant: direct branch target present");
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Unconditional,
-                taken: true,
-                target: next,
-            });
+        Mnemonic::Jmp { target } => {
+            next = target;
+            branch = jump(BranchKind::Unconditional, next);
         }
-        Mnemonic::JmpInd => {
-            next = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), Width::W32, &mut acc);
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Indirect,
-                taken: true,
-                target: next,
-            });
+        Mnemonic::JmpInd { target } => {
+            next = read_rm(cpu, mem, target, Width::W32, &mut acc);
+            branch = jump(BranchKind::Indirect, next);
         }
-        Mnemonic::Call => {
-            push32(cpu, mem, fall, &mut acc);
-            next = inst.direct_target().expect("decoder invariant: direct branch target present");
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Call,
-                taken: true,
-                target: next,
-            });
-        }
-        Mnemonic::CallInd => {
-            let target = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), Width::W32, &mut acc);
+        Mnemonic::Call { target } => {
             push32(cpu, mem, fall, &mut acc);
             next = target;
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Indirect,
-                taken: true,
-                target,
-            });
+            branch = jump(BranchKind::Call, next);
         }
-        Mnemonic::Ret => {
+        Mnemonic::CallInd { target } => {
+            let target = read_rm(cpu, mem, target, Width::W32, &mut acc);
+            push32(cpu, mem, fall, &mut acc);
+            next = target;
+            branch = jump(BranchKind::Indirect, next);
+        }
+        Mnemonic::Ret { pop } => {
             next = pop32(cpu, mem, &mut acc);
-            if let Some(Operand::Imm(n)) = inst.src {
-                cpu.gpr[Gpr::Esp as usize] =
-                    cpu.gpr[Gpr::Esp as usize].wrapping_add(n as u32);
-            }
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Return,
-                taken: true,
-                target: next,
-            });
+            cpu.gpr[Gpr::Esp as usize] = cpu.gpr[Gpr::Esp as usize].wrapping_add(u32::from(pop));
+            branch = jump(BranchKind::Return, next);
         }
-        Mnemonic::Loop => {
+        Mnemonic::Loop { target } => {
             let c = cpu.gpr[Gpr::Ecx as usize].wrapping_sub(1);
             cpu.gpr[Gpr::Ecx as usize] = c;
-            let taken = c != 0;
-            let target = inst.direct_target().expect("decoder invariant: direct branch target present");
-            if taken {
-                next = target;
-            }
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Conditional,
-                taken,
-                target: if taken { target } else { fall },
-            });
+            (next, branch) = cond_branch(c != 0, target);
         }
-        Mnemonic::Jecxz => {
-            let taken = cpu.gpr[Gpr::Ecx as usize] == 0;
-            let target = inst.direct_target().expect("decoder invariant: direct branch target present");
-            if taken {
-                next = target;
-            }
-            branch = Some(BranchOutcome {
-                kind: BranchKind::Conditional,
-                taken,
-                target: if taken { target } else { fall },
-            });
+        Mnemonic::Jecxz { target } => {
+            (next, branch) = cond_branch(cpu.gpr[Gpr::Ecx as usize] == 0, target);
         }
-        Mnemonic::Setcc(c) => {
-            let v = c.eval(cpu.flags) as u32;
-            write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), Width::W8, v, &mut acc);
+        Mnemonic::Setcc { cond, dst } => {
+            let v = cond.eval(cpu.flags) as u32;
+            write_rm(cpu, mem, dst, Width::W8, v, &mut acc);
         }
-        Mnemonic::Cmovcc(c) => {
-            let v = read_operand(cpu, mem, inst.src.expect("decoder invariant: source operand present"), w, &mut acc);
-            if c.eval(cpu.flags) {
-                write_operand(cpu, mem, inst.dst.expect("decoder invariant: destination operand present"), w, v, &mut acc);
+        Mnemonic::Cmovcc { cond, dst, src } => {
+            let v = read_rm(cpu, mem, src, w, &mut acc);
+            if cond.eval(cpu.flags) {
+                cpu.write(dst, w, v);
             }
         }
         Mnemonic::Cwde => {
@@ -636,8 +594,10 @@ pub fn exec(
         }
         Mnemonic::Cld => cpu.flags.set(Flags::DF, false),
         Mnemonic::Std => cpu.flags.set(Flags::DF, true),
-        Mnemonic::Movs | Mnemonic::Stos | Mnemonic::Lods => {
-            next = exec_string(cpu, mem, inst, pc, fall, &mut acc);
+        Mnemonic::Str { op, rep } => {
+            if exec_string(cpu, mem, op, rep, w, &mut acc) {
+                next = pc; // microcode loops back to the same instruction
+            }
         }
         Mnemonic::Pusha => {
             let orig_esp = cpu.gpr[Gpr::Esp as usize];
@@ -676,14 +636,11 @@ pub fn exec(
                 }
             }
         }
-        Mnemonic::Enter => {
-            let Some(Operand::Imm(frame)) = inst.src else {
-                unreachable!("ENTER without frame size")
-            };
+        Mnemonic::Enter { frame, .. } => {
             push32(cpu, mem, cpu.gpr[Gpr::Ebp as usize], &mut acc);
             cpu.gpr[Gpr::Ebp as usize] = cpu.gpr[Gpr::Esp as usize];
             cpu.gpr[Gpr::Esp as usize] =
-                cpu.gpr[Gpr::Esp as usize].wrapping_sub(frame as u32);
+                cpu.gpr[Gpr::Esp as usize].wrapping_sub(u32::from(frame));
         }
         Mnemonic::Leave => {
             cpu.gpr[Gpr::Esp as usize] = cpu.gpr[Gpr::Ebp as usize];
@@ -717,19 +674,19 @@ pub fn exec(
     })
 }
 
-/// Executes one iteration of a string instruction, returning the next PC
-/// (the instruction's own address while a `REP` loop is still running).
+/// Executes one iteration of a string instruction. Returns true while a
+/// `REP` loop has iterations left: the instruction then retires to its
+/// own address.
 fn exec_string(
     cpu: &mut Cpu,
     mem: &mut impl Memory,
-    inst: &Inst,
-    pc: u32,
-    fall: u32,
+    op: StrOp,
+    rep: bool,
+    w: Width,
     acc: &mut MemList,
-) -> u32 {
-    let w = inst.width;
-    if inst.rep && cpu.gpr[Gpr::Ecx as usize] == 0 {
-        return fall;
+) -> bool {
+    if rep && cpu.gpr[Gpr::Ecx as usize] == 0 {
+        return false;
     }
     let step = if cpu.flags.df() {
         (w.bytes() as i32).wrapping_neg() as u32
@@ -738,8 +695,8 @@ fn exec_string(
     };
     let esi = cpu.gpr[Gpr::Esi as usize];
     let edi = cpu.gpr[Gpr::Edi as usize];
-    match inst.mnemonic {
-        Mnemonic::Movs => {
+    match op {
+        StrOp::Movs => {
             acc.push(MemAccess {
                 addr: esi,
                 width: w,
@@ -763,7 +720,7 @@ fn exec_string(
             cpu.gpr[Gpr::Esi as usize] = esi.wrapping_add(step);
             cpu.gpr[Gpr::Edi as usize] = edi.wrapping_add(step);
         }
-        Mnemonic::Stos => {
+        StrOp::Stos => {
             let v = cpu.read(Gpr::Eax, w);
             acc.push(MemAccess {
                 addr: edi,
@@ -777,7 +734,7 @@ fn exec_string(
             }
             cpu.gpr[Gpr::Edi as usize] = edi.wrapping_add(step);
         }
-        Mnemonic::Lods => {
+        StrOp::Lods => {
             acc.push(MemAccess {
                 addr: esi,
                 width: w,
@@ -791,16 +748,13 @@ fn exec_string(
             cpu.write(Gpr::Eax, w, v);
             cpu.gpr[Gpr::Esi as usize] = esi.wrapping_add(step);
         }
-        _ => unreachable!(),
     }
-    if inst.rep {
+    if rep {
         let c = cpu.gpr[Gpr::Ecx as usize].wrapping_sub(1);
         cpu.gpr[Gpr::Ecx as usize] = c;
-        if c != 0 {
-            return pc; // microcode loops back to the same instruction
-        }
+        return c != 0;
     }
-    fall
+    false
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! top of a private, RISC-like implementation ISA. This crate provides the
 //! *architected* side of that contract:
 //!
-//! * an instruction model ([`Inst`], [`Operand`], [`Mnemonic`]) covering a
-//!   rich IA-32 subset — variable-length encodings (1–15 bytes), prefixes,
+//! * an instruction model ([`Inst`], whose [`Mnemonic`] carries each
+//!   form's typed operands) covering a rich IA-32 subset —
+//!   variable-length encodings (1–15 bytes), prefixes,
 //!   ModRM/SIB addressing, 8/16/32-bit operand widths, the full
 //!   flag-setting ALU groups, control transfers, string instructions and a
 //!   set of "complex" instructions that exercise the microcode/fallback
@@ -55,6 +56,6 @@ pub use cond::Cond;
 pub use decode::{decode, DecodeError, Decoder, MAX_INST_LEN};
 pub use encode::{Asm, Label};
 pub use flags::Flags;
-pub use inst::{BranchKind, Inst, MemRef, Mnemonic, Operand};
+pub use inst::{BranchKind, Inst, MemRef, Mnemonic, Operand, Rm, ShiftCount, StrOp};
 pub use interp::{cpuid_values, exec, BranchOutcome, Cpu, Fault, Interp, MemAccess, MemList, Retired};
 pub use reg::{Gpr, Width};

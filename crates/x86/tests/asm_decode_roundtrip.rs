@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::panic)]
 use cdvm_mem::Rng64;
-use cdvm_x86::{decode, AluOp, Asm, Cond, Gpr, Inst, MemRef, Mnemonic, Operand, ShiftOp, Width};
+use cdvm_x86::{decode, AluOp, Asm, Cond, Gpr, Inst, MemRef, Mnemonic, Operand, Rm, ShiftOp, Width};
 
 fn gpr(rng: &mut Rng64) -> Gpr {
     Gpr::from_num(rng.range_u32(0, 8) as u8)
@@ -165,23 +165,26 @@ fn emitted_code_decodes_instruction_for_instruction() {
         for (inst, e) in insts.iter().zip(&emits) {
             match e {
                 Emit::MovRi(r, i) => {
-                    assert_eq!(inst.mnemonic, Mnemonic::Mov, "seed {seed:#x}");
-                    assert_eq!(inst.dst, Some(Operand::Reg(*r)), "seed {seed:#x}");
-                    assert_eq!(inst.src, Some(Operand::Imm(*i as i32)), "seed {seed:#x}");
+                    let want = Mnemonic::Mov {
+                        dst: Rm::Reg(*r),
+                        src: Operand::Imm(*i as i32),
+                    };
+                    assert_eq!(inst.mnemonic, want, "seed {seed:#x}");
                 }
                 Emit::Lea(r, m) => {
-                    assert_eq!(inst.mnemonic, Mnemonic::Lea, "seed {seed:#x}");
-                    assert_eq!(inst.dst, Some(Operand::Reg(*r)), "seed {seed:#x}");
-                    assert_eq!(inst.src, Some(Operand::Mem(*m)), "seed {seed:#x}");
+                    let want = Mnemonic::Lea { dst: *r, addr: *m };
+                    assert_eq!(inst.mnemonic, want, "seed {seed:#x}");
                 }
                 Emit::AluRi(o, r, i) => {
-                    assert_eq!(inst.mnemonic, Mnemonic::Alu(alu(*o)), "seed {seed:#x}");
-                    assert_eq!(inst.dst, Some(Operand::Reg(*r)), "seed {seed:#x}");
-                    assert_eq!(inst.src, Some(Operand::Imm(*i)), "seed {seed:#x}");
+                    let want = Mnemonic::Alu {
+                        op: alu(*o),
+                        dst: Rm::Reg(*r),
+                        src: Operand::Imm(*i),
+                    };
+                    assert_eq!(inst.mnemonic, want, "seed {seed:#x}");
                 }
                 Emit::Ret(n) => {
-                    assert_eq!(inst.mnemonic, Mnemonic::Ret, "seed {seed:#x}");
-                    assert_eq!(inst.src, Some(Operand::Imm(*n as i32)), "seed {seed:#x}");
+                    assert_eq!(inst.mnemonic, Mnemonic::Ret { pop: *n }, "seed {seed:#x}");
                 }
                 _ => {}
             }

@@ -309,7 +309,7 @@ const OPCODE_REWRITE_STORE_RETIRES: u64 = 4 + 1 + 10 * 3 + 1;
 #[test]
 fn smc_rewrite_recracks_x86_mode_dispatch_width() {
     // Ref and VM.fe charge each x86-mode instruction its crack width in
-    // dispatch slots, kept per PC across decoder generations. The SMC
+    // dispatch slots, memoized beside the decoded instruction. The SMC
     // store clears the decoder, and a width filled before it must not be
     // reused after it. The control run stores the original opcode byte
     // back, so both runs take the same decoder clears, fetches and
@@ -335,6 +335,49 @@ fn smc_rewrite_recracks_x86_mode_dispatch_width() {
             rewritten > unchanged,
             "{kind}: ten passes over the three-micro-op xchg cost {rewritten} cycles, \
              no more than the one-micro-op mov's {unchanged}: a stale crack width was reused"
+        );
+    }
+}
+
+#[test]
+fn instruction_at_address_zero_is_charged_its_crack_width() {
+    // Guest code may sit at address 0. A 50-pass loop whose first
+    // instruction is there must be charged that instruction's crack
+    // width like anywhere else: the three-micro-op `xchg eax, ebx` costs
+    // more dispatch slots than the one-micro-op `mov eax, ebx` of the
+    // same length, and nothing else differs between the two runs.
+    use cdvm_x86::{Asm, Cond, Gpr};
+
+    let run = |kind: MachineKind, xchg: bool| {
+        let mut asm = Asm::new(0);
+        let top = asm.here();
+        if xchg {
+            asm.xchg_rr(Gpr::Eax, Gpr::Ebx);
+        } else {
+            asm.mov_rr(Gpr::Eax, Gpr::Ebx);
+        }
+        asm.dec_r(Gpr::Ecx);
+        asm.jcc(Cond::Ne, top);
+        asm.hlt();
+        let entry = asm.pc();
+        asm.mov_ri(Gpr::Ecx, 50);
+        asm.jmp(top);
+        let mut mem = cdvm_mem::GuestMem::new();
+        mem.load(0, &asm.finish());
+        let mut sys = System::new(kind, mem, entry);
+        assert_eq!(sys.run_to_completion(u64::MAX), Status::Halted);
+        assert_eq!(sys.x86_retired(), sys.stats.x86_mode_retired, "{kind}: x86 mode only");
+        assert_eq!(sys.stats.uncrackable_insts, 0);
+        sys.cycles()
+    };
+
+    for kind in [MachineKind::RefSuperscalar, MachineKind::VmFe] {
+        let mov = run(kind, false);
+        let xchg = run(kind, true);
+        assert!(
+            xchg > mov,
+            "{kind}: 50 passes over the three-micro-op xchg at address 0 cost {xchg} cycles, \
+             no more than the one-micro-op mov's {mov}"
         );
     }
 }
