@@ -222,8 +222,8 @@ impl PcSet {
 /// Flat map from native code-cache PCs to credit values, indexed by
 /// halfword offset from the arena base.
 ///
-/// Retirement credit is consulted once per executed micro-op, the single
-/// hottest lookup in the whole driver. Native PCs are confined to one
+/// Retirement credit is read once per micro-op the executor decodes into
+/// a run (it then travels with the run). Native PCs are confined to one
 /// bump-allocated arena (`[base, base + capacity)`) and micro-ops are
 /// 2-byte aligned, so a direct-indexed array gives the lookup in one load
 /// with no hashing or probing. Each slot packs a presence bit above the

@@ -17,7 +17,7 @@
 
 
 use cdvm_cracker::crack;
-use cdvm_fisa::{ExitCode, Executor, NExit, NFault, NativeState};
+use cdvm_fisa::{CodeSource, ExitCode, Executor, NExit, NFault, NativeState};
 use cdvm_mem::{CodeCache, GuestMem, Memory, NativePc};
 use cdvm_uarch::{Bbb, BbbConfig, CycleCat, Cycles, MachineConfig, MachineKind, Timing};
 use cdvm_x86::{BranchKind, Cpu, Fault, Interp, Mnemonic};
@@ -937,7 +937,10 @@ impl System {
                         pending_in_sbt = in_sbt;
                     }
                     pending_raw += timing.retire_uop_cost(r).raw();
-                    let credit = vm.credit_at(r.pc);
+                    // The run cache read the credit at decode time; every
+                    // credit change invalidates the runs covering it.
+                    let credit = r.credit;
+                    debug_assert_eq!(credit, code.credit(r.pc), "stale credit at {:#x}", r.pc);
                     if credit > 0 {
                         *x86_retired += credit as u64;
                         if in_sbt {

@@ -113,24 +113,35 @@ pub struct TranslateOutcome {
     pub src_pc: u32,
 }
 
-/// Fetch source for the executor, merging the two code caches by
-/// address range.
-pub struct VmCode<'a> {
-    bbt: &'a CodeCache,
-    sbt: &'a CodeCache,
-}
+/// Fetch source for the executor, merging the two code caches (and
+/// their retirement credits) by address range.
+pub struct VmCode<'a>(&'a Vm);
 
 impl cdvm_fisa::CodeSource for VmCode<'_> {
     fn fetch_hw(&self, addr: u32) -> Option<u16> {
-        let cache = if addr >= self.sbt.config().base {
-            self.sbt
+        let cache = if addr >= self.0.sbt_cache.config().base {
+            &self.0.sbt_cache
         } else {
-            self.bbt
+            &self.0.bbt_cache
         };
         if cache.contains(NativePc(addr)) {
             Some(cache.read_u16(addr))
         } else {
             None
+        }
+    }
+
+    /// BBT credit entries store the instruction's x86 PC (credit is
+    /// always one per instruction; `u32::MAX` is a tombstone left by
+    /// entry redirection); SBT entries store the run's credit count.
+    fn credit(&self, addr: u32) -> u32 {
+        if addr >= self.0.sbt_cache.config().base {
+            self.0.sbt_credits.get(addr).unwrap_or(0)
+        } else {
+            match self.0.bbt_credits.get(addr) {
+                Some(u32::MAX) | None => 0,
+                Some(_) => 1,
+            }
         }
     }
 }
@@ -221,10 +232,7 @@ impl Vm {
 
     /// A [`cdvm_fisa::CodeSource`] view over both code caches.
     pub fn code(&self) -> VmCode<'_> {
-        VmCode {
-            bbt: &self.bbt_cache,
-            sbt: &self.sbt_cache,
-        }
+        VmCode(self)
     }
 
     /// Looks up a translation for `x86_pc`, preferring SBT code.
@@ -238,23 +246,6 @@ impl Vm {
             return Some(pc);
         }
         None
-    }
-
-    /// Retired-instruction credit at a native PC, if any.
-    ///
-    /// BBT credit entries store the instruction's x86 PC (credit is
-    /// always one per instruction; `u32::MAX` is a tombstone left by
-    /// entry redirection); SBT entries store the run's credit count.
-    #[inline]
-    pub fn credit_at(&self, native_pc: u32) -> u32 {
-        if native_pc >= self.sbt_cache.config().base {
-            self.sbt_credits.get(native_pc).unwrap_or(0)
-        } else {
-            match self.bbt_credits.get(native_pc) {
-                Some(u32::MAX) | None => 0,
-                Some(_) => 1,
-            }
-        }
     }
 
     /// The x86 PC of the instruction whose micro-op starts at
@@ -823,12 +814,7 @@ impl Vm {
             },
             redirect_of: Some(entry),
         });
-        for off in (0..STUB_BYTES).step_by(2) {
-            if self.bbt_credits.get(at + off).is_some() {
-                self.bbt_credits.insert(at + off, u32::MAX);
-            }
-        }
-        vec![at, at + 4, at + 8]
+        self.tombstone_window(at)
     }
 
     /// Redirects an existing BBT block entry to its new SBT translation
@@ -852,14 +838,22 @@ impl Vm {
             target_kind: TransKind::Sbt,
             redirect_of: Some(entry),
         });
-        // Tombstone any credit marks inside the patched window so the
-        // redirect's Br does not double-count retired instructions.
-        for off in (0..STUB_BYTES).step_by(2) {
-            if self.bbt_credits.get(at + off).is_some() {
-                self.bbt_credits.insert(at + off, u32::MAX);
+        self.tombstone_window(at)
+    }
+
+    /// Tombstones the credit marks inside the `STUB_BYTES` window patched
+    /// at `at`, so the redirect's `Br` does not double-count retired
+    /// instructions, and returns every halfword of the window for the
+    /// executor to invalidate: a cached run starting anywhere in it would
+    /// otherwise keep the old bytes and the old credits.
+    fn tombstone_window(&mut self, at: u32) -> Vec<u32> {
+        let window: Vec<u32> = (0..STUB_BYTES).step_by(2).map(|off| at + off).collect();
+        for &pc in &window {
+            if self.bbt_credits.get(pc).is_some() {
+                self.bbt_credits.insert(pc, u32::MAX);
             }
         }
-        vec![at, at + 4, at + 8]
+        window
     }
 
     /// Evicts *everything*: both code caches, lookup tables, chains and

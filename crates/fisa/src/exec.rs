@@ -18,6 +18,13 @@ pub trait CodeSource {
     /// mapped translated code.
     fn fetch_hw(&self, addr: u32) -> Option<u16>;
 
+    /// The x86 instructions the micro-op at `addr` retires (default 0).
+    /// Read once when the micro-op is decoded into a run, so the runs
+    /// covering a changed credit must be invalidated.
+    fn credit(&self, _addr: u32) -> u32 {
+        0
+    }
+
     /// Fetches up to 4 bytes for decoding (default in terms of
     /// [`CodeSource::fetch_hw`]).
     fn fetch_window(&self, addr: u32) -> Option<[u8; 4]> {
@@ -103,6 +110,8 @@ pub struct NRetired {
     pub uop: Uop,
     /// Decode-time static classification of `uop`.
     pub meta: UopMeta,
+    /// x86 instructions this micro-op retires ([`CodeSource::credit`]).
+    pub credit: u32,
     /// Data memory access, if any.
     pub mem: Option<MemAccess>,
     /// Branch outcome, if this was a control transfer.
@@ -310,6 +319,10 @@ impl RunMap {
     }
 }
 
+/// One cached micro-op with what the retire path reads of it: encoded
+/// length, decode-time [`UopMeta`] and retirement credit.
+type Decoded = (Uop, u8, UopMeta, u32);
+
 /// True if `op` unconditionally redirects control (and therefore ends a
 /// decoded run).
 fn ends_run(op: &Op) -> bool {
@@ -327,14 +340,11 @@ fn ends_run(op: &Op) -> bool {
 /// cursor into the dense run storage — no per-micro-op table probe; only
 /// control transfers re-probe the run map. The VMM must call
 /// [`Executor::invalidate`] whenever a code-cache generation is flushed
-/// and [`Executor::invalidate_at`] for every patched site.
+/// and [`Executor::invalidate_at`] for every patched site and for every
+/// address whose [`CodeSource::credit`] changes.
 pub struct Executor {
     runs: RunMap,
-    // Each element carries the micro-op, its encoded length, and its
-    // decode-time [`UopMeta`] so the timing model's retire path reads
-    // precomputed classification bits instead of re-running opcode
-    // matches on every retirement.
-    dense: Vec<(Uop, u8, UopMeta)>,
+    dense: Vec<Decoded>,
     // Cursor over the run currently executing: `dense[cur_pos]` is the
     // next micro-op iff the machine's PC equals `cur_pc` (a taken branch
     // or fault retry breaks the equality and falls back to the map).
@@ -448,11 +458,11 @@ impl Executor {
     /// caches the run, points the cursor past its first micro-op, and
     /// returns that first micro-op.
     #[inline(never)]
-    fn build_run(&mut self, code: &impl CodeSource, pc: u32) -> Result<(Uop, u8, UopMeta), NFault> {
+    fn build_run(&mut self, code: &impl CodeSource, pc: u32) -> Result<Decoded, NFault> {
         let window = code.fetch_window(pc).ok_or(NFault::BadFetch { addr: pc })?;
         let (fu, fl) =
             encoding::decode_one(&window, 0).map_err(|_| NFault::BadEncoding { addr: pc })?;
-        let first = (fu, fl, UopMeta::of(&fu));
+        let first = (fu, fl, UopMeta::of(&fu), code.credit(pc));
         let start = self.dense.len();
         self.dense.push(first);
         let mut p = pc.wrapping_add(first.1 as u32);
@@ -466,7 +476,7 @@ impl Executor {
             let Ok((u, l)) = encoding::decode_one(&w, 0) else {
                 break;
             };
-            self.dense.push((u, l, UopMeta::of(&u)));
+            self.dense.push((u, l, UopMeta::of(&u), code.credit(p)));
             p = p.wrapping_add(l as u32);
             last = u.op;
         }
@@ -546,7 +556,7 @@ impl Executor {
         mut xlt: Option<&mut dyn XltAssist>,
     ) -> Result<NRetired, NFault> {
         let pc = st.pc;
-        let (u, len, meta) = if pc == self.cur_pc && self.cur_pos < self.cur_end {
+        let (u, len, meta, credit) = if pc == self.cur_pc && self.cur_pos < self.cur_end {
             // Sequential: serve straight from the run cursor.
             let hit = self.dense[self.cur_pos];
             self.cur_pos += 1;
@@ -889,6 +899,7 @@ impl Executor {
             len,
             uop: u,
             meta,
+            credit,
             mem: mem_acc,
             branch,
             exit,
@@ -1291,7 +1302,7 @@ mod tests {
             pc += u32::from(u.encoded_len());
         }
         // What a fresh executor decodes at each entry.
-        let mut fresh: BTreeMap<u32, Vec<(Uop, u8, UopMeta)>> = BTreeMap::new();
+        let mut fresh: BTreeMap<u32, Vec<Decoded>> = BTreeMap::new();
 
         let mut ex = Executor::new();
         let mut compactions = 0;

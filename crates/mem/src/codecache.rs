@@ -133,7 +133,7 @@ pub struct CodeCache {
 }
 
 impl CodeCache {
-    /// Creates an empty arena.
+    /// Creates an empty arena, holding no host memory until code arrives.
     ///
     /// # Panics
     ///
@@ -142,7 +142,7 @@ impl CodeCache {
         assert!(config.capacity > 0, "code cache capacity must be non-zero");
         CodeCache {
             config,
-            bytes: Vec::with_capacity(config.capacity),
+            bytes: Vec::new(),
             generation: 0,
             stats: CodeCacheStats::default(),
         }
@@ -198,6 +198,12 @@ impl CodeCache {
             self.flush();
         }
         let offset = self.bytes.len();
+        let need = offset + code.len();
+        if need > self.bytes.capacity() {
+            // Double the reservation, but never past the arena's capacity.
+            let target = (2 * self.bytes.capacity()).clamp(need, self.config.capacity);
+            self.bytes.reserve_exact(target - offset);
+        }
         self.bytes.extend_from_slice(code);
         self.stats.total_bytes_written += code.len() as u64;
         self.stats.resident_translations += 1;
@@ -316,8 +322,7 @@ impl CodeCache {
                 capacity: self.config.capacity,
             });
         }
-        self.bytes.clear();
-        self.bytes.extend_from_slice(code);
+        self.bytes = code.to_vec();
         self.generation = generation;
         self.stats = CodeCacheStats {
             used_bytes: code.len(),
@@ -406,6 +411,33 @@ mod tests {
             base: 0,
             capacity: 0,
         });
+    }
+
+    #[test]
+    fn arena_grows_with_use_up_to_its_capacity() {
+        let mut cc = CodeCache::new(CodeCacheConfig::bbt(1000));
+        assert_eq!(cc.bytes.capacity(), 0, "a fresh arena reserves nothing");
+        let mut sizes = [3usize, 7, 100, 1, 250, 64].iter().cycle();
+        while cc.stats().used_bytes < 1000 {
+            let len = (*sizes.next().unwrap()).min(1000 - cc.stats().used_bytes);
+            cc.alloc(&vec![0xab; len]).unwrap();
+            assert!(cc.bytes.capacity() <= 1000, "over-reserved");
+        }
+        assert_eq!(cc.stats().used_bytes, 1000);
+        assert_eq!(cc.generation(), 0, "filling to the capacity never flushes");
+        cc.alloc(&[1]).unwrap();
+        assert_eq!(cc.generation(), 1, "the next allocation flushes");
+        assert_eq!(cc.stats().used_bytes, 1);
+        assert_eq!(cc.bytes.capacity(), 1000);
+        cc.restore(&[2; 999], 5, 1).unwrap();
+        assert_eq!(cc.bytes.capacity(), 999);
+
+        let mut restored = CodeCache::new(CodeCacheConfig::bbt(1000));
+        restored.restore(&[2; 600], 5, 1).unwrap();
+        assert_eq!(restored.bytes.capacity(), 600);
+        restored.alloc(&[3; 400]).unwrap();
+        assert_eq!(restored.bytes.capacity(), 1000);
+        assert_eq!(restored.generation(), 5);
     }
 
     #[test]

@@ -127,7 +127,6 @@ impl ApiServer {
         persist_dir: Option<PathBuf>,
     ) -> std::io::Result<ApiServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -135,32 +134,35 @@ impl ApiServer {
         let active2 = Arc::clone(&active);
         let accept_thread = std::thread::Builder::new()
             .name("cdvm-serve-api".to_string())
-            .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let service = Arc::clone(&service);
-                            let dir = persist_dir.clone();
-                            active2.fetch_add(1, Ordering::SeqCst);
-                            let guard = ConnGuard(Arc::clone(&active2));
-                            // One thread per connection: a blocking wait
-                            // (`?wait_ms=`, `/drain`) must not stall the
-                            // accept loop or other clients.
-                            // (A failed spawn drops the closure — and
-                            // with it the guard — so the slot is
-                            // released either way.)
-                            let _ = std::thread::Builder::new()
-                                .name("cdvm-serve-conn".to_string())
-                                .spawn(move || {
-                                    let _guard = guard;
-                                    handle_conn(&service, stream, dir.as_deref());
-                                });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            .spawn(move || loop {
+                // Blocks until a client connects; `stop` wakes it with
+                // a connection of its own, which is dropped here.
+                let accepted = listener.accept();
+                if stop2.load(Ordering::SeqCst) {
+                    return;
+                }
+                match accepted {
+                    Ok((stream, _)) => {
+                        let service = Arc::clone(&service);
+                        let dir = persist_dir.clone();
+                        active2.fetch_add(1, Ordering::SeqCst);
+                        let guard = ConnGuard(Arc::clone(&active2));
+                        // One thread per connection: a blocking wait
+                        // (`?wait_ms=`, `/drain`) must not stall the
+                        // accept loop or other clients.
+                        // (A failed spawn drops the closure — and
+                        // with it the guard — so the slot is
+                        // released either way.)
+                        let _ = std::thread::Builder::new()
+                            .name("cdvm-serve-conn".to_string())
+                            .spawn(move || {
+                                let _guard = guard;
+                                handle_conn(&service, stream, dir.as_deref());
+                            });
                     }
+                    // A failing accept (say, out of descriptors) would
+                    // fail again at once: back off instead of spinning.
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             })?;
         Ok(ApiServer {
@@ -187,7 +189,12 @@ impl ApiServer {
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+            // The loop blocks in `accept`: connect once to wake it. If
+            // even that fails, the thread is left to end with the process
+            // rather than joined forever.
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = h.join();
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cdvm-serve [--port N] [--workers N] [--scale F] [--cold]
-//!            [--prestamp N] [--global-cap N] [--tenant-cap N]
+//!            [--global-cap N] [--tenant-cap N]
 //!            [--persist-dir PATH] [--machines LIST] [--apps LIST]
 //!            [--capture] [--no-spans]
 //! ```
@@ -38,7 +38,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: cdvm-serve [--port N] [--workers N] [--scale F] [--cold] \
-         [--prestamp N] [--global-cap N] [--tenant-cap N] \
+         [--global-cap N] [--tenant-cap N] \
          [--persist-dir PATH] [--machines vm.soft,vm.be,...] [--apps a,b,...] \
          [--capture] [--no-spans]"
     );
@@ -72,9 +72,6 @@ fn parse_args() -> Args {
             "--workers" => args.cfg.workers = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--scale" => args.cfg.scale = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--cold" => args.cfg.pool.warm = false,
-            "--prestamp" => {
-                args.cfg.pool.prestamp = val(&mut it).parse().unwrap_or_else(|_| usage());
-            }
             "--global-cap" => {
                 args.cfg.global_queue_cap = val(&mut it).parse().unwrap_or_else(|_| usage());
             }

@@ -5,8 +5,8 @@
 //! completion; this crate turns the same simulator into a long-running
 //! multi-tenant *service*:
 //!
-//! * a **warm pool** ([`WarmPool`]) pre-stamps [`System`](cdvm_core::System)
-//!   instances from PR 6 warm translation images over copy-on-write
+//! * a **warm pool** ([`WarmPool`]) stamps a [`System`](cdvm_core::System)
+//!   per job from its warm translation image over copy-on-write
 //!   guest memory, with per-image health accounting and a circuit
 //!   breaker that quarantines a misbehaving image (cold boot fallback);
 //! * a **work-stealing scheduler** with bounded per-tenant queues,

@@ -1,12 +1,15 @@
-//! The warm-pool manager: golden images, pre-stamped instances, health
-//! accounting, and the per-image circuit breaker.
+//! The warm-pool manager: golden images, health accounting, and the
+//! per-image circuit breaker.
 //!
 //! One `Golden` entry exists per served `(machine, app)` pair. Preparing
-//! an entry runs the workload cold once and saves the PR 6 warm image;
+//! an entry runs the workload cold once and saves its warm image;
 //! serving then *stamps* instances: a fresh [`System`] on a CoW
 //! [`Memory::clone`](cdvm_mem::GuestMem) of the golden memory image,
-//! with the warm translation state restored on top. A small stack of
-//! pre-stamped instances hides even the restore cost from checkout.
+//! with the warm translation state restored on top. The pool keeps
+//! images, not machines: every checkout stamps exactly the instance it
+//! returns, on the worker that runs it. A stamp costs a fraction of a
+//! millisecond against a run of tens, so an idle stamped `System` per
+//! entry would cost its memory and hide almost nothing.
 //!
 //! Restores are health-tracked per image. Repeated restore failures or
 //! salvage degradations trip a **circuit breaker** that quarantines the
@@ -23,8 +26,9 @@ use cdvm_core::{
     write_image_atomic, FaultInjector, ImageFault, ImageFaultReport, Status, System,
     TelemetryConfig,
 };
+use cdvm_mem::GuestMem;
 use cdvm_uarch::{MachineConfig, MachineKind};
-use cdvm_workloads::{build_app_run, AppProfile, Workload};
+use cdvm_workloads::{build_app_run, AppProfile};
 
 use crate::job::WarmLevel;
 use crate::lock;
@@ -35,8 +39,6 @@ pub struct PoolConfig {
     /// Prepare warm images and restore them at stamp time. When false
     /// every stamp is a cold boot (the bench's cold lane).
     pub warm: bool,
-    /// Pre-stamped ready instances to keep per golden entry.
-    pub prestamp: usize,
     /// Consecutive bad restores (failure or degradation) that trip the
     /// breaker.
     pub breaker_threshold: u32,
@@ -56,7 +58,6 @@ impl Default for PoolConfig {
     fn default() -> PoolConfig {
         PoolConfig {
             warm: true,
-            prestamp: 1,
             breaker_threshold: 3,
             breaker_cooldown: 4,
             capture: false,
@@ -130,8 +131,6 @@ pub struct ImageState {
     pub app: &'static str,
     /// Warm image size (0 when the pool is cold-only).
     pub image_bytes: usize,
-    /// Pre-stamped instances ready for checkout.
-    pub ready: usize,
     /// Restore health and breaker state.
     pub health: ImageHealth,
 }
@@ -140,25 +139,12 @@ pub struct ImageState {
 struct Golden {
     kind: MachineKind,
     app: &'static str,
-    wl: Workload,
+    /// The app's memory image, CoW-shared with its other entries.
+    mem: GuestMem,
+    entry: u32,
     /// Warm image bytes (empty when the pool is cold-only).
     image: Vec<u8>,
-    /// Pre-stamped instances ready for checkout.
-    ready: Vec<(System, StampInfo)>,
     health: ImageHealth,
-}
-
-/// Clones a workload around its CoW memory image (the page directory is
-/// shared; no page bytes are copied).
-fn clone_workload(wl: &Workload) -> Workload {
-    Workload {
-        name: wl.name.clone(),
-        mem: wl.mem.clone(),
-        entry: wl.entry,
-        static_insts: wl.static_insts,
-        scheduled_calls: wl.scheduled_calls,
-        approx_dynamic: wl.approx_dynamic,
-    }
 }
 
 /// The warm-pool manager.
@@ -177,40 +163,35 @@ impl WarmPool {
     /// are prepared in parallel, bounded by the host's available
     /// parallelism.
     pub fn prepare(catalog: &[(MachineKind, AppProfile)], scale: f64, cfg: PoolConfig) -> WarmPool {
-        let mut apps: Vec<(&'static str, Workload)> = Vec::new();
-        for (_, p) in catalog {
-            if !apps.iter().any(|(n, _)| *n == p.name) {
-                apps.push((p.name, build_app_run(p, scale, 1.0)));
-            }
-        }
         let mut index = Vec::new();
-        let mut goldens: Vec<Mutex<Golden>> = Vec::new();
+        let mut goldens: Vec<Golden> = Vec::new();
         for (kind, p) in catalog {
             if index.contains(&(*kind, p.name)) {
                 continue;
             }
-            let wl = apps
-                .iter()
-                .find(|(n, _)| *n == p.name)
-                .map(|(_, w)| clone_workload(w))
-                .unwrap_or_else(|| build_app_run(p, scale, 1.0));
+            let (mem, entry) = match goldens.iter().find(|g| g.app == p.name) {
+                Some(g) => (g.mem.clone(), g.entry),
+                None => {
+                    let wl = build_app_run(p, scale, 1.0);
+                    (wl.mem, wl.entry)
+                }
+            };
             index.push((*kind, p.name));
-            goldens.push(Mutex::new(Golden {
+            goldens.push(Golden {
                 kind: *kind,
                 app: p.name,
-                wl,
+                mem,
+                entry,
                 image: Vec::new(),
-                ready: Vec::new(),
                 health: ImageHealth::default(),
-            }));
+            });
         }
         let pool = WarmPool {
             cfg,
-            entries: goldens,
+            entries: goldens.into_iter().map(Mutex::new).collect(),
             index,
         };
         if pool.cfg.warm {
-            let cfg = &pool.cfg;
             let entries = &pool.entries;
             // Prep is a cold full-workload run per entry: bound the
             // fan-out to the host's parallelism instead of one thread
@@ -233,17 +214,13 @@ impl WarmPool {
                         let mut g = lock(entry);
                         let mut sys = System::with_config(
                             MachineConfig::preset(g.kind),
-                            g.wl.mem.clone(),
-                            g.wl.entry,
+                            g.mem.clone(),
+                            g.entry,
                         );
                         // A golden image is only worth serving from when
                         // the prep run reached its architected end.
                         if sys.run_to_completion(u64::MAX) == Status::Halted {
                             g.image = sys.snapshot_bytes();
-                        }
-                        for _ in 0..cfg.prestamp {
-                            let stamped = stamp(&mut g, cfg);
-                            g.ready.push(stamped);
                         }
                     });
                 }
@@ -261,17 +238,12 @@ impl WarmPool {
         self.index.iter().position(|(k, a)| *k == kind && *a == app)
     }
 
-    /// Checks out a ready instance (or stamps one on demand) and
-    /// restocks the ready stack. Returns `None` for an unserved pair.
+    /// Stamps an instance for one job: restores the entry's image into
+    /// a fresh [`System`] (or cold-boots one, per the breaker). Returns
+    /// `None` for an unserved pair.
     pub fn checkout(&self, kind: MachineKind, app: &str) -> Option<(System, StampInfo)> {
         let idx = self.entry_idx(kind, app)?;
-        let mut g = lock(&self.entries[idx]);
-        let out = g.ready.pop().unwrap_or_else(|| stamp(&mut g, &self.cfg));
-        while g.ready.len() < self.cfg.prestamp {
-            let stamped = stamp(&mut g, &self.cfg);
-            g.ready.push(stamped);
-        }
-        Some(out)
+        Some(stamp(&mut lock(&self.entries[idx]), &self.cfg))
     }
 
     /// A snapshot of one image's health.
@@ -306,8 +278,7 @@ impl WarmPool {
     }
 
     /// Chaos hook: corrupts the golden image in place with one
-    /// [`ImageFault`] mode and drops the pre-stamped instances so the
-    /// damage is visible at the next stamp.
+    /// [`ImageFault`] mode; the next stamp restores the damaged bytes.
     pub fn corrupt_image(
         &self,
         kind: MachineKind,
@@ -316,10 +287,7 @@ impl WarmPool {
         fault: ImageFault,
     ) -> Option<ImageFaultReport> {
         let idx = self.entry_idx(kind, app)?;
-        let mut g = lock(&self.entries[idx]);
-        let report = injector.corrupt_image(&mut g.image, fault);
-        g.ready.clear();
-        Some(report)
+        Some(injector.corrupt_image(&mut lock(&self.entries[idx]).image, fault))
     }
 
     /// The current golden image bytes (test hook).
@@ -328,15 +296,12 @@ impl WarmPool {
         Some(lock(&self.entries[idx]).image.clone())
     }
 
-    /// Replaces the golden image bytes (test hook; clears the ready
-    /// stack like [`WarmPool::corrupt_image`]).
+    /// Replaces the golden image bytes (test hook).
     pub fn set_image_bytes(&self, kind: MachineKind, app: &str, bytes: Vec<u8>) -> bool {
         let Some(idx) = self.entry_idx(kind, app) else {
             return false;
         };
-        let mut g = lock(&self.entries[idx]);
-        g.image = bytes;
-        g.ready.clear();
+        lock(&self.entries[idx]).image = bytes;
         true
     }
 
@@ -350,7 +315,6 @@ impl WarmPool {
                     kind: g.kind,
                     app: g.app,
                     image_bytes: g.image.len(),
-                    ready: g.ready.len(),
                     health: g.health.clone(),
                 }
             })
@@ -361,7 +325,7 @@ impl WarmPool {
 /// Stamps one instance from a golden entry, applying the breaker
 /// policy. Never panics: the worst case is a cold boot.
 fn stamp(g: &mut Golden, cfg: &PoolConfig) -> (System, StampInfo) {
-    let mut sys = System::with_config(MachineConfig::preset(g.kind), g.wl.mem.clone(), g.wl.entry);
+    let mut sys = System::with_config(MachineConfig::preset(g.kind), g.mem.clone(), g.entry);
     if cfg.capture {
         // Armed before the restore so restore events land in the trace.
         sys.set_telemetry(TelemetryConfig {

@@ -58,10 +58,10 @@ pub struct ServeConfig {
     pub scale: f64,
     /// Served `(machine, app)` catalog.
     pub catalog: Vec<(MachineKind, AppProfile)>,
-    /// Warm pool: warm or cold lane, pre-stamped instances, the image
-    /// circuit breaker, and VM telemetry capture on stamped instances
-    /// (which lets `GET /jobs/<id>/trace` merge an instance's startup
-    /// telemetry under the job's service spans).
+    /// Warm pool: warm or cold lane, the image circuit breaker, and VM
+    /// telemetry capture on stamped instances (which lets
+    /// `GET /jobs/<id>/trace` merge an instance's startup telemetry
+    /// under the job's service spans).
     pub pool: PoolConfig,
     /// Service-wide bound on admitted-but-not-terminal jobs.
     pub global_queue_cap: usize,
@@ -275,8 +275,6 @@ const SERVICE_STATS: &[Stat<Inner>] = &[
 /// The per-image pool numbers, labelled `machine`/`app` on `/metrics`.
 #[rustfmt::skip]
 const POOL_STATS: &[Stat<ImageState>] = &[
-    Stat { key: "ready", family: "cdvm_pool_ready", help: "Pre-stamped ready instances per golden image.",
-           kind: Gauge, labels: &[], read: |i| i.ready.into() },
     Stat { key: "restores_clean", family: "cdvm_pool_restores_total", help: "Warm-image restores by outcome.",
            kind: Counter, labels: &[("kind", "clean")], read: |i| i.health.restores_clean.into() },
     Stat { key: "restores_degraded", family: "cdvm_pool_restores_total", help: "Warm-image restores by outcome.",
@@ -1326,7 +1324,7 @@ mod tests {
         let mut all = families(SERVICE_STATS);
         all.extend(families(POOL_STATS));
         all.extend(families(SLO_STATS));
-        assert_eq!(all.len(), 18 + 8 + 4);
+        assert_eq!(all.len(), 18 + 7 + 4);
         all.dedup();
         let contiguous = all.len();
         all.sort_unstable();

@@ -7,15 +7,23 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use cdvm_bench::testjson::{Json, Parser};
 use cdvm_serve::api::ApiServer;
-use cdvm_serve::{JobSpec, JobState, ServeConfig, Service, SloConfig};
+use cdvm_serve::{JobSpec, JobState, PoolConfig, ServeConfig, Service, SloConfig};
 use cdvm_stats::parse_exposition;
 use cdvm_uarch::MachineKind;
 use cdvm_workloads::winstone2004;
+
+/// Runs this binary's tests one at a time: the accept-latency test times
+/// round trips, which a sibling test's simulation would slow on a small
+/// host.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn config(apps: &[&str]) -> ServeConfig {
     let profiles = winstone2004();
@@ -59,6 +67,7 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
 
 #[test]
 fn hostile_bodies_get_400_and_the_service_keeps_serving() {
+    let _serial = serial();
     let svc = Arc::new(Service::start(config(&["Word"])));
     let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");
     let addr = server.addr();
@@ -114,6 +123,37 @@ fn hostile_bodies_get_400_and_the_service_keeps_serving() {
     );
 }
 
+#[test]
+fn an_idle_server_accepts_without_delay() {
+    let _serial = serial();
+    // A cold pool prepares nothing, so the service is idle from the
+    // start and the round trips below time the front door alone.
+    let svc = Arc::new(Service::start(ServeConfig {
+        pool: PoolConfig {
+            warm: false,
+            ..PoolConfig::default()
+        },
+        ..config(&["Word"])
+    }));
+    let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");
+    let mut rtt: Vec<Duration> = (0..41)
+        .map(|_| {
+            let t = Instant::now();
+            let (status, reply) = request(server.addr(), "GET", "/no/such/route", "");
+            assert_eq!(status, 404, "{reply}");
+            t.elapsed()
+        })
+        .collect();
+    rtt.sort();
+    // An accept loop that polls sleeps between polls, so a request waits
+    // on average half the poll period before it is even read.
+    assert!(
+        rtt[rtt.len() / 2] < Duration::from_micros(1500),
+        "median round trip {:?} (sorted: {rtt:?})",
+        rtt[rtt.len() / 2]
+    );
+}
+
 /// Sends `raw` as it is and returns the reply's status and body. A
 /// refused request is answered before the server has read all of it,
 /// and must still end in a clean close: a server that closed over the
@@ -134,6 +174,7 @@ fn raw_request(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
 
 #[test]
 fn malformed_framing_is_refused_before_routing() {
+    let _serial = serial();
     let svc = Arc::new(Service::start(config(&["Word"])));
     let server = ApiServer::bind(Arc::clone(&svc), 0, None).expect("bind");
     let addr = server.addr();
@@ -228,8 +269,7 @@ const SERVICE: [Shared; 18] = [
 ];
 
 /// Per pool image; `/metrics` adds `machine` and `app` labels first.
-const POOL: [Shared; 8] = [
-    ("ready", "cdvm_pool_ready", &[]),
+const POOL: [Shared; 7] = [
     (
         "restores_clean",
         "cdvm_pool_restores_total",
@@ -270,6 +310,7 @@ fn sample_value(v: Option<&Json>) -> f64 {
 
 #[test]
 fn healthz_and_metrics_agree_on_every_shared_number() {
+    let _serial = serial();
     let svc = Arc::new(Service::start(ServeConfig {
         global_queue_cap: 2,
         // Hour-wide SLO buckets: no window rolls between the two reads,
@@ -352,7 +393,7 @@ fn healthz_and_metrics_agree_on_every_shared_number() {
             compared += 1;
         }
     }
-    assert_eq!(compared, 18 + 8 * 2 + 4 * 3);
+    assert_eq!(compared, 18 + 7 * 2 + 4 * 3);
 
     // The comparison is not between zeros: jobs completed, some were
     // shed, the pool restored, and the error-rate objective burned.

@@ -216,12 +216,12 @@ fn prometheus_exposition_parses_and_covers_the_fleet() {
         );
     }
     assert_eq!(family("cdvm_inflight").kind, PromKind::Gauge);
-    let ready = family("cdvm_pool_ready");
-    assert_eq!(
-        ready.sample("cdvm_pool_ready", &[("machine", "VM.soft"), ("app", "Word")])
+    let quarantined = family("cdvm_pool_quarantined");
+    assert!(
+        quarantined
+            .sample("cdvm_pool_quarantined", &[("machine", "VM.soft"), ("app", "Word")])
             .is_some(),
-        true,
-        "pool gauges carry (machine, app) labels: {ready:?}"
+        "pool gauges carry (machine, app) labels: {quarantined:?}"
     );
     let restores = family("cdvm_pool_restores_total");
     assert!(

@@ -385,7 +385,6 @@ fn corrupted_images_serve_cold_then_recover() {
     let svc = Service::start(ServeConfig {
         workers: 1,
         pool: PoolConfig {
-            prestamp: 0,
             breaker_threshold: 2,
             breaker_cooldown: 2,
             ..PoolConfig::default()
@@ -730,5 +729,33 @@ fn concurrent_checkouts_of_one_pool_slot_are_isolated() {
         .health(MachineKind::VmSoft, "Word")
         .expect("health exists");
     assert_eq!(health.restores_failed, 0);
+    assert_eq!(health.restores_clean, 6, "each checkout stamps the instance it returns");
     assert!(!health.quarantined);
+}
+
+#[test]
+fn each_job_restores_its_image_exactly_once() {
+    const JOBS: u64 = 3;
+    let svc = Service::start(ServeConfig {
+        workers: 1,
+        ..config(&[MachineKind::VmSoft], &["Word"])
+    });
+    for _ in 0..JOBS {
+        let id = svc
+            .submit(JobSpec::new("t0", "Word", MachineKind::VmSoft))
+            .expect("admitted");
+        assert!(matches!(wait_terminal(&svc, id), JobState::Completed(_)));
+    }
+    let health = svc
+        .pool()
+        .health(MachineKind::VmSoft, "Word")
+        .expect("served pair");
+    // No instance is stamped ahead of a job, so the image is restored
+    // once per job and never for an instance left waiting.
+    assert_eq!(health.restores_clean, JOBS);
+    assert_eq!(
+        health.restores_degraded + health.restores_failed + health.cold_stamps,
+        0
+    );
+    audit(&svc, JOBS);
 }

@@ -542,6 +542,7 @@ mod tests {
             len: 4,
             uop,
             meta: UopMeta::of(&uop),
+            credit: 0,
             mem: None,
             branch: None,
             exit: None,

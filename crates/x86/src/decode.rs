@@ -202,6 +202,21 @@ pub fn decode(bytes: &[u8], pc: u32) -> Result<Inst, DecodeError> {
     };
 
     let mut out = decode_opcode(&mut r, opcode, wide, rep, pc)?;
+    // The subset has no 16-bit stack and no 16-bit EIP: under `66`, IA-32
+    // would move ESP by 2, read a 16-bit immediate or displacement, or
+    // truncate EIP, so these forms are refused.
+    let stack = matches!(
+        out.mnemonic,
+        Mnemonic::Push { .. }
+            | Mnemonic::Pop { .. }
+            | Mnemonic::Pusha
+            | Mnemonic::Popa
+            | Mnemonic::Enter { .. }
+            | Mnemonic::Leave
+    );
+    if wide == Width::W16 && (stack || out.mnemonic.is_cti()) {
+        return Err(DecodeError::Unknown(opcode));
+    }
     out.len = r.pos as u8;
     Ok(out)
 }
@@ -971,6 +986,35 @@ mod tests {
             }
         ));
         assert_eq!(i.len, 4);
+    }
+
+    #[test]
+    fn operand_size_prefix_refuses_stack_and_branch_forms() {
+        let refused =
+            |bytes: &[u8], opcode| assert_eq!(decode(bytes, 0), Err(DecodeError::Unknown(opcode)));
+        // push imm16 would be 4 bytes on IA-32, not a 6-byte push imm32.
+        refused(&[0x66, 0x68, 0, 0, 0, 0], 0x68);
+        // push ax moves ESP by 2, not 4.
+        refused(&[0x66, 0x50], 0x50);
+        // call rel16 and jz rel16 truncate EIP.
+        refused(&[0x66, 0xe8, 0, 0, 0, 0], 0xe8);
+        refused(&[0x66, 0x0f, 0x84, 0, 0, 0, 0], 0x0f);
+        for bytes in [
+            &[0x66, 0x5f][..],
+            &[0x66, 0x6a, 1],
+            &[0x66, 0x75, 0],
+            &[0x66, 0xc3],
+            &[0x66, 0xc9],
+            &[0x66, 0xff, 0xd0], // call ax
+            &[0x66, 0xff, 0x30], // push word [eax]
+        ] {
+            assert!(decode(bytes, 0).is_err(), "{bytes:02x?}");
+        }
+        // Without the prefix, and for the prefixed non-stack forms, the
+        // same bytes still decode.
+        assert_eq!(decode(&[0x68, 0, 0, 0, 0], 0).unwrap().len, 5);
+        assert_eq!(decode(&[0x0f, 0x84, 0, 0, 0, 0], 0).unwrap().len, 6);
+        assert_eq!(decode(&[0x66, 0xff, 0xc0], 0).unwrap().len, 3); // inc ax
     }
 
     #[test]
