@@ -1,10 +1,12 @@
 //! Shared harness for the figure/table benchmarks.
 //!
-//! Every `cargo bench` target in this crate regenerates one table or
-//! figure of the paper. The harness runs the ten Winstone-like apps on
-//! the requested machine configurations (in parallel), samples startup
-//! curves on the paper's logarithmic cycle axis, and renders markdown
-//! tables, ASCII plots and CSV files (under `target/figures/`).
+//! The `cargo bench` targets in this crate regenerate the paper's tables
+//! and figures; `startup_figures` renders its whole startup evaluation
+//! from the derivations in [`figures`]. The harness runs the ten
+//! Winstone-like apps on the requested machine configurations (in
+//! parallel), samples startup curves on the paper's logarithmic cycle
+//! axis, and renders markdown tables, ASCII plots and CSV files (under
+//! `target/figures/`).
 //!
 //! Trace lengths scale with `CDVM_SCALE` (default 0.1 ⇒ one tenth of the
 //! paper's 100M/500M-instruction traces; set `CDVM_SCALE=1.0` for
@@ -18,12 +20,13 @@ use cdvm_core::{
     panic_message, render_chrome, FlightRecorder, Phase, RecorderConfig, Status, System,
     Telemetry, TelemetryConfig, NUM_PHASES,
 };
-use cdvm_stats::{harmonic_mean, ChromeTrace, LogSampler, Metrics};
+use cdvm_stats::{ChromeTrace, LogSampler, Metrics};
 use cdvm_uarch::{CycleCat, Cycles, MachineConfig, MachineKind, NUM_CATS};
 use cdvm_workloads::{build_app_run, winstone2004, AppProfile, Workload};
 
 pub use cdvm_workloads::env_scale;
 
+pub mod figures;
 pub mod testjson;
 
 use testjson::{Json, Parser};
@@ -54,8 +57,6 @@ pub struct CurveResult {
     pub m_bbt: u64,
     /// SBT static instructions optimized (M_SBT proxy).
     pub m_sbt: u64,
-    /// Fraction of SBT-emitted micro-ops in fused pairs.
-    pub fused_frac: f64,
     /// Per-phase cycle totals (indexed by `Phase as usize`; they sum
     /// exactly to the run's fixed-point cycle total by construction).
     pub phase_cycles: [Cycles; NUM_PHASES],
@@ -120,17 +121,12 @@ pub fn run_prebuilt(cfg: MachineConfig, wl: &Workload) -> CurveResult {
     for (i, c) in CycleCat::ALL.iter().enumerate() {
         breakdown[i] = sys.timing.category_cycles(*c);
     }
-    let (m_bbt, m_sbt, fused_frac) = match sys.vm.as_ref() {
+    let (m_bbt, m_sbt) = match sys.vm.as_ref() {
         Some(vm) => (
             vm.stats.bbt_x86_insts - vm.stats.bbt_retranslated_insts - vm.stats.bbt_upgraded_insts,
             vm.stats.sbt_x86_insts,
-            if vm.stats.sbt_uops == 0 {
-                0.0
-            } else {
-                vm.stats.sbt_fused_uops as f64 / vm.stats.sbt_uops as f64
-            },
         ),
-        None => (0, 0, 0.0),
+        None => (0, 0),
     };
     let metrics = system_metrics(&wl.name, &mut sys);
     let telemetry = sys.take_telemetry();
@@ -156,7 +152,6 @@ pub fn run_prebuilt(cfg: MachineConfig, wl: &Workload) -> CurveResult {
         coverage: sys.hotspot_coverage(),
         m_bbt,
         m_sbt,
-        fused_frac,
         phase_cycles: sys.stats.phase_cycles,
         metrics,
         telemetry,
@@ -281,9 +276,8 @@ pub fn system_metrics(app: &str, sys: &mut System) -> Metrics {
 }
 
 /// Writes the bench's machine-readable metrics: a top-level document
-/// with the bench name, scale and one entry per run, saved both as
-/// `<bench>.metrics.json` and as `metrics.json` (latest run) under
-/// `target/figures/`.
+/// with the bench name, scale and one entry per run, saved as
+/// `target/figures/<bench>.metrics.json`.
 pub fn emit_metrics(bench: &str, scale: f64, runs: Vec<Metrics>) {
     emit_metrics_with(bench, scale, runs, Metrics::new())
 }
@@ -298,10 +292,8 @@ pub fn emit_metrics_with(bench: &str, scale: f64, runs: Vec<Metrics>, summary: M
         top.set("summary", summary);
     }
     top.set("runs", runs);
-    let json = top.to_json();
     let path = out_dir().join(format!("{bench}.metrics.json"));
-    std::fs::write(&path, &json).expect("write metrics artifact");
-    std::fs::write(out_dir().join("metrics.json"), &json).expect("write metrics.json");
+    std::fs::write(&path, top.to_json()).expect("write metrics artifact");
     println!("[metrics] {}", path.display());
 }
 
@@ -556,28 +548,24 @@ pub fn run_jobs(jobs: Vec<(MachineKind, AppProfile)>, scale: f64, length_mult: f
     // Build each distinct app image once up front; every machine config
     // then shares it through a copy-on-write memory clone instead of
     // regenerating the same guest program per job.
-    let mut images: Vec<(&'static str, Workload)> = Vec::new();
+    let mut images: Vec<Workload> = Vec::new();
+    let mut image_of = Vec::with_capacity(jobs.len());
     for (_, p) in &jobs {
-        if !images.iter().any(|(n, _)| *n == p.name) {
-            images.push((p.name, cdvm_workloads::build_app_run(p, scale, length_mult)));
-        }
+        let built = images.iter().position(|wl| wl.name == p.name);
+        image_of.push(built.unwrap_or_else(|| {
+            images.push(build_app_run(p, scale, length_mult));
+            images.len() - 1
+        }));
     }
-    let (results, failures) = run_jobs_with(jobs, |kind, profile| {
-        match images.iter().find(|(n, _)| *n == profile.name) {
-            Some((_, wl)) => run_prebuilt(MachineConfig::preset(kind), wl),
-            // Unreachable through the prebuild above, but a harness path
-            // must not panic on a bookkeeping miss: rebuild on demand.
-            None => {
-                let wl = cdvm_workloads::build_app_run(profile, scale, length_mult);
-                run_prebuilt(MachineConfig::preset(kind), &wl)
-            }
-        }
+    let (results, failures) = run_jobs_with(jobs, |job, kind, _| {
+        run_prebuilt(MachineConfig::preset(kind), &images[image_of[job]])
     });
     Matrix { results, failures }
 }
 
-/// Runs each `(machine, app)` job through `runner` on a bounded worker
-/// pool. Each job is isolated with `catch_unwind`: a panic in one job
+/// Runs each `(machine, app)` job through `runner`, which also gets the
+/// job's index in `jobs`, on a bounded worker pool. Each job is
+/// isolated with `catch_unwind`: a panic in one job
 /// becomes a [`JobFailure`] instead of aborting the whole scope (and the
 /// results lock is recovered rather than treated as poisoned), so one
 /// bad app/machine pair cannot take down a whole figure run. Successes
@@ -587,7 +575,7 @@ pub fn run_jobs_with<F>(
     runner: F,
 ) -> (Vec<CurveResult>, Vec<JobFailure>)
 where
-    F: Fn(MachineKind, &AppProfile) -> CurveResult + Sync,
+    F: Fn(usize, MachineKind, &AppProfile) -> CurveResult + Sync,
 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let threads = std::thread::available_parallelism()
@@ -605,7 +593,7 @@ where
                 let Some((i, (kind, profile))) = jobs.get(k) else {
                     break;
                 };
-                match catch_unwind(AssertUnwindSafe(|| runner(*kind, profile))) {
+                match catch_unwind(AssertUnwindSafe(|| runner(*i, *kind, profile))) {
                     Ok(r) => {
                         // A lock poisoned by a panic elsewhere still
                         // guards coherent data (pushes are atomic from
@@ -638,74 +626,6 @@ where
         v.into_iter().map(|(_, r)| r).collect(),
         f.into_iter().map(|(_, r)| r).collect(),
     )
-}
-
-/// The reference machine's steady-state IPC for an app set: tail rate of
-/// each Ref run (used as the paper's normalisation basis).
-pub fn ref_steady_ipc(results: &[CurveResult]) -> f64 {
-    let tails: Vec<f64> = results
-        .iter()
-        .filter(|r| r.kind == MachineKind::RefSuperscalar)
-        .map(tail_ipc)
-        .collect();
-    harmonic_mean(&tails)
-}
-
-/// IPC over the last half of a run (steady-state estimate).
-pub fn tail_ipc(r: &CurveResult) -> f64 {
-    let half = r.cycles / 2;
-    let at_half = r.instrs.value_at(half).unwrap_or(0.0);
-    (r.x86_retired as f64 - at_half) / (r.cycles - half) as f64
-}
-
-/// Mean normalized aggregate-IPC curve across apps for one machine, at
-/// log-spaced probe points.
-pub fn mean_curve(results: &[CurveResult], kind: MachineKind, norm: f64) -> Vec<(u64, f64)> {
-    let per_app: Vec<&CurveResult> = results.iter().filter(|r| r.kind == kind).collect();
-    let Some(max_cycles) = per_app.iter().map(|r| r.cycles).max() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut c = 1000u64;
-    while c <= max_cycles {
-        let mut vals = Vec::new();
-        for r in &per_app {
-            // Clamp beyond end-of-trace to the final aggregate (the
-            // paper's "Finish" column).
-            let cc = c.min(r.cycles);
-            let v = r.instrs.value_at(cc).unwrap_or(0.0);
-            if cc > 0 && v > 0.0 {
-                vals.push(v / cc as f64);
-            } else {
-                vals.push(1e-9);
-            }
-        }
-        out.push((c, harmonic_mean(&vals) / norm));
-        c = (c as f64 * 1.4) as u64;
-    }
-    out
-}
-
-/// Mean decoder-activity curve (fraction of cycles active) for one
-/// machine.
-pub fn mean_activity_curve(results: &[CurveResult], kind: MachineKind) -> Vec<(u64, f64)> {
-    let per_app: Vec<&CurveResult> = results.iter().filter(|r| r.kind == kind).collect();
-    let Some(max_cycles) = per_app.iter().map(|r| r.cycles).max() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut c = 1000u64;
-    while c <= max_cycles {
-        let mut acc = 0.0;
-        for r in &per_app {
-            let cc = c.min(r.cycles);
-            let v = r.activity.value_at(cc).unwrap_or(0.0);
-            acc += (v / cc as f64).min(1.0);
-        }
-        out.push((c, acc / per_app.len() as f64));
-        c = (c as f64 * 1.4) as u64;
-    }
-    out
 }
 
 /// Renders a log-x ASCII plot of one or more named series.
@@ -818,6 +738,7 @@ mod tests {
         for (file, key) in [
             ("BENCH_engine.json", "ns_per_inst_aggregate"),
             ("BENCH_startup.json", "warm_cycles_aggregate"),
+            ("BENCH_figures.json", "fig2_vmsoft_steady_normalized_ipc"),
         ] {
             let doc = read_baseline(file).unwrap_or_else(|| panic!("{file} missing"));
             let v = doc.get(key).and_then(Json::as_num);
@@ -948,6 +869,31 @@ mod tests {
 
     use std::collections::HashMap;
 
+    /// Requires the checked-in `file` at the repo root to equal `got`'s
+    /// JSON byte for byte, listing the lines that differ; under
+    /// `CDVM_GOLDEN_REGEN` it rewrites the file instead, as the golden
+    /// fixture is rewritten.
+    pub(crate) fn assert_pinned(file: &str, got: &Metrics) {
+        let got = got.to_json();
+        let path = repo_root().join(file);
+        if cdvm_core::trace::env_switch("CDVM_GOLDEN_REGEN", false) {
+            std::fs::write(&path, got).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(&path).unwrap();
+        let diff: Vec<String> = want
+            .lines()
+            .zip(got.lines())
+            .filter(|(w, g)| w != g)
+            .map(|(w, g)| format!("pinned {} | ran {}", w.trim(), g.trim()))
+            .collect();
+        assert!(
+            want == got,
+            "{file} differs from this run:\n{}",
+            diff.join("\n")
+        );
+    }
+
     /// Modeled cycles are deterministic, so the warm-restore lanes are
     /// pinned exactly: `BENCH_startup.json` must equal this run's
     /// document key for key. A warm path that silently degrades (sections
@@ -968,25 +914,7 @@ mod tests {
         }
         pins.set("cold_cycles_aggregate", cold)
             .set("warm_cycles_aggregate", warm);
-        let got = pins.to_json();
-
-        let path = repo_root().join("BENCH_startup.json");
-        if cdvm_core::trace::env_switch("CDVM_GOLDEN_REGEN", false) {
-            std::fs::write(&path, got).unwrap();
-            return;
-        }
-        let want = std::fs::read_to_string(&path).unwrap();
-        let diff: Vec<String> = want
-            .lines()
-            .zip(got.lines())
-            .filter(|(w, g)| w != g)
-            .map(|(w, g)| format!("pinned {} | ran {}", w.trim(), g.trim()))
-            .collect();
-        assert!(
-            want == got,
-            "BENCH_startup.json differs from this run:\n{}",
-            diff.join("\n")
-        );
+        assert_pinned("BENCH_startup.json", &pins);
     }
 
     #[test]
@@ -1001,7 +929,7 @@ mod tests {
         // output stays readable; restore it afterwards.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let (ok, failed) = run_jobs_with(jobs, |kind, profile| {
+        let (ok, failed) = run_jobs_with(jobs, |_, kind, profile| {
             if kind == MachineKind::VmSoft {
                 panic!("injected failure for {}", profile.name);
             }

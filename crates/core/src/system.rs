@@ -73,6 +73,57 @@ enum Mode {
     Native,
 }
 
+/// What stops a run at a retirement boundary.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// The slice's retire goal: the run goes on in the next slice.
+    Goal,
+    /// An armed watchdog: the run ends.
+    Trip(Watchdog),
+}
+
+/// The order in which a run stops at a retirement boundary: the retire
+/// goal, then the fuel watchdog, then the translation watchdog. Built
+/// once per batch ([`System::stop_rule`]), it is the one rule that
+/// `run_slice` applies between steps and both batch loops apply per
+/// retirement.
+#[derive(Debug, Clone, Copy)]
+struct StopRule {
+    goal: u64,
+    fuel: Option<u64>,
+    /// The translation watchdog, when it has already tripped.
+    /// Translation counts change only between batches (hot detection
+    /// ends an x86 batch before translating, and native batches never
+    /// translate), so it fires at a batch's first retirement or not at
+    /// all.
+    translations: Option<Watchdog>,
+    /// The goal and the fuel limit are both thresholds on `x86_retired`:
+    /// their minimum makes one compare per retirement.
+    stop_at: u64,
+}
+
+impl StopRule {
+    /// What stops the run once `retired` instructions have retired.
+    #[inline(always)]
+    fn check(&self, retired: u64) -> Option<Stop> {
+        if retired < self.stop_at && self.translations.is_none() {
+            return None;
+        }
+        self.which(retired)
+    }
+
+    #[cold]
+    fn which(&self, retired: u64) -> Option<Stop> {
+        if retired >= self.goal {
+            Some(Stop::Goal)
+        } else if let Some(limit) = self.fuel.filter(|&limit| retired >= limit) {
+            Some(Stop::Trip(Watchdog::Fuel { limit }))
+        } else {
+            self.translations.map(Stop::Trip)
+        }
+    }
+}
+
 /// End-of-run summary counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SystemStats {
@@ -513,9 +564,9 @@ impl System {
             }
         }
         let goal = self.x86_retired + max_insts;
-        while self.x86_retired < goal {
-            if let Some(w) = self.check_watchdogs() {
-                return self.trip(w);
+        loop {
+            if let Some(stop) = self.stop_rule(goal).check(self.x86_retired) {
+                return self.stop(stop);
             }
             let st = match self.mode {
                 Mode::X86 => self.step_x86(goal),
@@ -535,7 +586,15 @@ impl System {
                 return Status::Exhausted(w);
             }
         }
-        Status::Running
+    }
+
+    /// Ends a step at `stop`: the goal keeps the run going, a watchdog
+    /// ends it.
+    fn stop(&mut self, stop: Stop) -> Status {
+        match stop {
+            Stop::Goal => Status::Running,
+            Stop::Trip(w) => self.trip(w),
+        }
     }
 
     fn trip(&mut self, w: Watchdog) -> Status {
@@ -548,20 +607,22 @@ impl System {
         Status::Exhausted(w)
     }
 
-    fn check_watchdogs(&mut self) -> Option<Watchdog> {
-        if let Some(limit) = self.watchdog_fuel {
-            if self.x86_retired >= limit {
-                return Some(Watchdog::Fuel { limit });
-            }
+    /// The stop rule toward `goal`, from the armed watchdogs and the
+    /// translation count as they stand now.
+    fn stop_rule(&self, goal: u64) -> StopRule {
+        let translated = self
+            .vm
+            .as_ref()
+            .map(|vm| vm.stats.bbt_blocks + vm.stats.sbt_superblocks);
+        StopRule {
+            goal,
+            fuel: self.watchdog_fuel,
+            translations: self
+                .watchdog_max_translations
+                .filter(|&limit| translated.is_some_and(|n| n >= limit))
+                .map(|limit| Watchdog::Translations { limit }),
+            stop_at: goal.min(self.watchdog_fuel.unwrap_or(u64::MAX)),
         }
-        if let Some(limit) = self.watchdog_max_translations {
-            if let Some(vm) = self.vm.as_ref() {
-                if vm.stats.bbt_blocks + vm.stats.sbt_superblocks >= limit {
-                    return Some(Watchdog::Translations { limit });
-                }
-            }
-        }
-        None
     }
 
     /// X86-mode (or interpreted) instructions, batched like
@@ -575,9 +636,8 @@ impl System {
     /// demoted regions, the retire goal, and watchdog sequence points.
     ///
     /// Observation-equivalence to the old one-instruction-at-a-time
-    /// loop: the goal and watchdog checks run per retirement in the same
-    /// order as before (goal first, then fuel, then translations — and
-    /// translation counts cannot change inside a batch), the phase and
+    /// loop: the [`StopRule`] runs per retirement, in the same order as
+    /// `run_slice` applies it between steps, the phase and
     /// category are constant across the whole batch so hoisting
     /// `set_phase`/`set_category` out of the loop is exact, and REP
     /// iterations keep their mid-iteration non-retirement semantics.
@@ -586,8 +646,7 @@ impl System {
         enum X86End {
             Fault(Fault),
             Halt,
-            Goal,
-            Watchdog(Watchdog),
+            Stop(Stop),
             /// Hot detection fired at a taken branch: the driver runs
             /// `sbt_translate(hot_pc)` and then resolves the branch
             /// target exactly like the unbatched tail did.
@@ -614,6 +673,7 @@ impl System {
                 self.set_phase(Phase::X86Mode);
                 self.timing.set_category(CycleCat::X86Mode);
             }
+            let rule = self.stop_rule(goal);
             let end = {
                 let timing = &mut self.timing;
                 let stats = &mut self.stats;
@@ -624,20 +684,7 @@ impl System {
                 let demoted = &self.demoted;
                 let kind = self.kind;
                 let interp_hot_threshold = self.cfg.interp_hot_threshold;
-                let watchdog_fuel = self.watchdog_fuel;
-                let watchdog_max_translations = self.watchdog_max_translations;
                 let mut end = None;
-                // Batch-constant stop conditions (same folding as
-                // `step_native`): goal and the fuel watchdog share the
-                // `x86_retired` threshold compare, and translation
-                // counts only change between batches (hot detection
-                // ends the batch before translating), so that watchdog
-                // either fires on the first retirement or not at all.
-                let stop_at = goal.min(watchdog_fuel.unwrap_or(u64::MAX));
-                let translations_hit = watchdog_max_translations.is_some_and(|limit| {
-                    vm.as_deref()
-                        .is_some_and(|vm| vm.stats.bbt_blocks + vm.stats.sbt_superblocks >= limit)
-                });
                 // Interp-tier charges fold into one locally-accumulated
                 // `Cycles`, paid after the batch (the category stays
                 // `InterpEmu` throughout and nothing in the loop reads
@@ -760,23 +807,9 @@ impl System {
                                 }
                             }
                         }
-                        // Same sequence the unbatched loop ran between
-                        // steps: goal first, then watchdogs
-                        // (check_watchdogs inlined — it only reads).
-                        if *x86_retired >= stop_at || translations_hit {
-                            // Cold path: re-derive which condition
-                            // tripped, in the original check order.
-                            end = Some(if *x86_retired >= goal {
-                                X86End::Goal
-                            } else if let Some(limit) =
-                                watchdog_fuel.filter(|&limit| *x86_retired >= limit)
-                            {
-                                X86End::Watchdog(Watchdog::Fuel { limit })
-                            } else {
-                                let limit = watchdog_max_translations
-                                    .expect("only the translation watchdog is left");
-                                X86End::Watchdog(Watchdog::Translations { limit })
-                            });
+                        // The check the unbatched loop ran between steps.
+                        if let Some(stop) = rule.check(*x86_retired) {
+                            end = Some(X86End::Stop(stop));
                             return false;
                         }
                         true
@@ -794,8 +827,7 @@ impl System {
                     self.halted = true;
                     return Status::Halted;
                 }
-                X86End::Goal => return Status::Running,
-                X86End::Watchdog(w) => return self.trip(w),
+                X86End::Stop(stop) => return self.stop(stop),
                 X86End::Hot { hot_pc, next_pc } => {
                     self.sbt_translate(hot_pc);
                     // The unbatched branch tail, resumed after the
@@ -833,11 +865,8 @@ impl System {
             if self.mode != Mode::X86 || self.tripped.is_some() {
                 return Status::Running;
             }
-            if self.x86_retired >= goal {
-                return Status::Running;
-            }
-            if let Some(w) = self.check_watchdogs() {
-                return self.trip(w);
+            if let Some(stop) = self.stop_rule(goal).check(self.x86_retired) {
+                return self.stop(stop);
             }
         }
     }
@@ -866,10 +895,9 @@ impl System {
     /// is observation-equivalent to returning after every micro-op —
     /// while keeping the loop bookkeeping off the per-uop hot path.
     ///
-    /// Credited micro-ops keep looping too: the goal and watchdog checks
-    /// the outer loop would perform between steps are inlined at the
-    /// credit boundary in the same order (goal first, then watchdogs),
-    /// so trip points and return values are unchanged. The exit paths
+    /// Credited micro-ops keep looping too: the [`StopRule`] the outer
+    /// loop applies between steps runs at each credit boundary, so trip
+    /// points and return values are unchanged. The exit paths
     /// (vmexit, halt, fault) still return to `run_slice`, because those
     /// can translate code and set `tripped`.
     fn step_native(&mut self, goal: u64) -> Status {
@@ -878,12 +906,12 @@ impl System {
             Fault(NFault),
             Halt,
             VmExit { code: ExitCode, arg: u32 },
-            Goal,
-            Watchdog(Watchdog),
+            Stop(Stop),
         }
         // Nothing inside the batch changes the phase, so the telescoping
         // set_phase runs once up front instead of per micro-op.
         self.set_phase(Phase::Native);
+        let rule = self.stop_rule(goal);
         // The VM (and its code view) are borrowed once for the whole
         // batch; every exit path below can translate code or mutate the
         // VM, so they run after the borrow ends. The per-micro-op loop
@@ -897,20 +925,7 @@ impl System {
             let stats = &mut self.stats;
             let x86_retired = &mut self.x86_retired;
             let sbt_base = self.sbt_base;
-            let watchdog_fuel = self.watchdog_fuel;
-            let watchdog_max_translations = self.watchdog_max_translations;
             let mut end = None;
-            // Batch-constant stop conditions, folded to one compare per
-            // credited retirement: the goal and the fuel watchdog are
-            // both thresholds on `x86_retired`, and the translation
-            // count cannot change inside a native batch (translation
-            // runs only between batches), so that watchdog either fires
-            // at the first credited retirement or not at all. The
-            // original goal -> fuel -> translations order is re-derived
-            // on the cold trigger path.
-            let stop_at = goal.min(watchdog_fuel.unwrap_or(u64::MAX));
-            let translations_hit = watchdog_max_translations
-                .is_some_and(|limit| vm.stats.bbt_blocks + vm.stats.sbt_superblocks >= limit);
             // The accumulator works on raw Q44.20 bits with plain
             // adds: each per-uop charge is far below 2^32 raw and a
             // batch retires far fewer than 2^31 micro-ops, so the sum
@@ -951,21 +966,11 @@ impl System {
                     }
                     match r.exit {
                         None => {
-                            if credit > 0 && (*x86_retired >= stop_at || translations_hit) {
-                                // Cold path: re-derive which condition
-                                // tripped, in the original check order.
-                                end = Some(if *x86_retired >= goal {
-                                    BatchEnd::Goal
-                                } else if let Some(limit) =
-                                    watchdog_fuel.filter(|&limit| *x86_retired >= limit)
-                                {
-                                    BatchEnd::Watchdog(Watchdog::Fuel { limit })
-                                } else {
-                                    let limit = watchdog_max_translations
-                                        .expect("only the translation watchdog is left");
-                                    BatchEnd::Watchdog(Watchdog::Translations { limit })
-                                });
-                                return false;
+                            if credit > 0 {
+                                if let Some(stop) = rule.check(*x86_retired) {
+                                    end = Some(BatchEnd::Stop(stop));
+                                    return false;
+                                }
                             }
                             true
                         }
@@ -999,8 +1004,7 @@ impl System {
                 Status::Halted
             }
             BatchEnd::VmExit { code, arg } => self.handle_vmexit(code, arg),
-            BatchEnd::Goal => Status::Running,
-            BatchEnd::Watchdog(w) => self.trip(w),
+            BatchEnd::Stop(stop) => self.stop(stop),
         }
     }
 

@@ -9,33 +9,43 @@ use crate::LogSampler;
 /// IPC crossover).
 ///
 /// Both curves must sample cumulative retired instructions. Returns
-/// `None` if the VM never catches up within the sampled range (rendered
-/// as an off-scale bar in Fig. 9).
+/// `None` if the VM never catches up while the reference is still
+/// running (rendered as an off-scale bar in Fig. 9): once the reference
+/// has finished, a VM that retires the same program only draws level
+/// with it at its own, later end, and that is a finish time, not a
+/// breakeven.
 pub fn breakeven_cycles(reference: &LogSampler, vm: &LogSampler) -> Option<u64> {
-    // Scan the VM's sample points; refine between points by bisection on
-    // the interpolated curves.
+    let end = reference.samples().last()?.cycles;
+    let caught_up = |c: u64| match (vm.value_at(c), reference.value_at(c)) {
+        (Some(v), Some(r)) => v >= r,
+        _ => false,
+    };
+    // Scan the VM's sample points, the last one clamped to the
+    // reference's end; refine between points by bisection on the
+    // interpolated curves.
     let mut prev: Option<u64> = None;
     for s in vm.samples() {
-        let r = reference.value_at(s.cycles)?;
-        if s.value >= r && s.cycles > 1000 {
-            // Refine between prev and here.
-            let mut lo = prev.unwrap_or(s.cycles / 2).max(1);
-            let mut hi = s.cycles;
+        let at = s.cycles.min(end);
+        if at > 1000 && caught_up(at) {
+            let mut lo = prev.unwrap_or(at / 2).max(1);
+            let mut hi = at;
             for _ in 0..48 {
                 let mid = lo + (hi - lo) / 2;
                 if mid == lo {
                     break;
                 }
-                let vm_v = vm.value_at(mid);
-                let ref_v = reference.value_at(mid);
-                match (vm_v, ref_v) {
-                    (Some(v), Some(r)) if v >= r => hi = mid,
-                    _ => lo = mid,
+                if caught_up(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
                 }
             }
             return Some(hi);
         }
-        prev = Some(s.cycles);
+        if at == end {
+            return None;
+        }
+        prev = Some(at);
     }
     None
 }
@@ -76,6 +86,16 @@ mod tests {
     fn never_catches_up() {
         let reference = curve(1.0, 1.0, 0, 10_000_000);
         let vm = curve(0.5, 0.9, 1000, 10_000_000);
+        assert_eq!(breakeven_cycles(&reference, &vm), None);
+    }
+
+    #[test]
+    fn no_breakeven_after_the_reference_finishes() {
+        // The reference retires 1M instructions by 1M cycles and stops;
+        // the VM retires the same program at half the rate. It draws
+        // level only at its own end (2M cycles), which is a finish time.
+        let reference = curve(1.0, 1.0, 0, 1_000_000);
+        let vm = curve(0.5, 0.5, 0, 2_000_000);
         assert_eq!(breakeven_cycles(&reference, &vm), None);
     }
 

@@ -13,9 +13,9 @@
 //!   p50/p90/p99 percentile queries (translation-episode latencies);
 //! * [`harmonic_mean`] / [`Table`] — aggregation and rendering;
 //! * [`Metrics`] — an insertion-ordered metrics registry with JSON
-//!   export (`metrics.json` emitted by every bench run), and [`json`],
-//!   the matching reader (depth-bounded, and safe on network input:
-//!   it reports errors instead of panicking);
+//!   export (every bench run writes `<bench>.metrics.json`), and
+//!   [`json`], the matching reader (depth-bounded, and safe on network
+//!   input: it reports errors instead of panicking);
 //! * [`ChromeTrace`] — Chrome `trace_event` JSON writer so flight-
 //!   recorder output loads in Perfetto / `chrome://tracing`;
 //! * [`PromText`] / [`parse_exposition`] — Prometheus text-exposition

@@ -1,8 +1,8 @@
 //! A small metrics registry with JSON export.
 //!
 //! Benches record run metrics into a [`Metrics`] tree and serialize it
-//! to `metrics.json` with [`Metrics::to_json`] so figure/table runs are
-//! machine-readable without scraping stdout. The writer is hand-rolled
+//! to `<bench>.metrics.json` with [`Metrics::to_json`] so figure/table
+//! runs are machine-readable without scraping stdout. The writer is hand-rolled
 //! (the workspace takes no serialization dependency): keys keep
 //! insertion order, strings are escaped per RFC 8259, and non-finite
 //! floats serialize as `null` (JSON has no representation for them).

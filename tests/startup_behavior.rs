@@ -55,17 +55,20 @@ fn startup_ordering_and_overheads() {
         "VM.fe follows the reference startup curve: {f} vs {r}"
     );
 
-    // 3. Breakeven ordering (Fig. 9): fe earliest (or never needed),
-    //    then be, then soft (possibly never within the trace).
-    let be_fe = breakeven_cycles(&ref_curve, &fe_curve);
-    let be_be = breakeven_cycles(&ref_curve, &be_curve);
-    let be_soft = breakeven_cycles(&ref_curve, &soft_curve);
-    if let (Some(f), Some(b)) = (be_fe, be_be) {
-        assert!(f <= b * 2, "VM.fe breakeven not much later than VM.be: {f} vs {b}");
-    }
-    if let (Some(b), Some(so)) = (be_be, be_soft) {
-        assert!(b < so, "VM.be breaks even before VM.soft: {b} vs {so}");
-    }
+    // 3. Breakeven (Fig. 9): VM.fe catches up with the reference while
+    //    it is still running. On this short trace VM.be and VM.soft
+    //    finish after the reference, so neither breaks even within it;
+    //    VM.be still finishes first.
+    assert!(
+        breakeven_cycles(&ref_curve, &fe_curve).is_some(),
+        "VM.fe breaks even within the trace"
+    );
+    assert!(
+        be_sys.cycles() < soft_sys.cycles(),
+        "VM.be finishes before VM.soft: {} vs {}",
+        be_sys.cycles(),
+        soft_sys.cycles()
+    );
 
     // 4. BBT translation overhead fraction ordering (Fig. 10 / §5.3:
     //    9.9% software vs 2.7% hardware-assisted).
