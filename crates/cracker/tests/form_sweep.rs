@@ -74,6 +74,6 @@ fn every_decoded_form_cracks_and_executes() {
         // Small values keep every effective address and REP count short;
         // ESP leaves room to push and pop.
         cpu.gpr = [1, 2, 3, 4, 0x2000, 6, 7, 8];
-        let _ = exec(&mut cpu, &mut mem, inst, PC);
+        let _ = exec(&mut cpu, &mut mem, *inst, PC);
     }
 }

@@ -351,7 +351,6 @@ pub struct Executor {
     cur_pos: usize,
     cur_end: usize,
     cur_pc: u32,
-    retired: u64,
 }
 
 impl Default for Executor {
@@ -362,7 +361,6 @@ impl Default for Executor {
             cur_pos: 0,
             cur_end: 0,
             cur_pc: 0,
-            retired: 0,
         }
     }
 }
@@ -372,7 +370,6 @@ impl std::fmt::Debug for Executor {
         f.debug_struct("Executor")
             .field("cached_runs", &self.runs.len)
             .field("cached_uops", &self.dense.len())
-            .field("retired", &self.retired)
             .finish()
     }
 }
@@ -381,11 +378,6 @@ impl Executor {
     /// Creates an executor with an empty decode cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Micro-ops retired so far.
-    pub fn retired(&self) -> u64 {
-        self.retired
     }
 
     /// Decoded runs currently cached (diagnostic: invalidation tests
@@ -893,7 +885,6 @@ impl Executor {
         }
 
         st.pc = next;
-        self.retired += 1;
         Ok(NRetired {
             pc,
             len,

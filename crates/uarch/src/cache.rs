@@ -133,10 +133,14 @@ impl Cache {
             return true;
         }
         self.stats.misses += 1;
-        // LRU victim: the way with the maximal rank.
-        let victim = (0..ways)
-            .position(|w| usize::from(self.rank[base + w]) == ways - 1)
-            .expect("one way per set holds the LRU rank");
+        // LRU victim: the way with the maximal rank. A set's ranks are a
+        // permutation of `0..ways`, so that is the way ranked `ways - 1`.
+        let (mut victim, mut oldest) = (0, 0);
+        for (w, &r) in self.rank[base..base + ways].iter().enumerate() {
+            if r > oldest {
+                (victim, oldest) = (w, r);
+            }
+        }
         self.tags[base + victim] = tag;
         self.promote(base, victim);
         self.mru[set] = victim as u8;

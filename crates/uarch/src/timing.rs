@@ -91,8 +91,6 @@ pub struct Timing {
     fused_tail_pending: bool,
     decoder_active: Cycles,
     uops_retired: u64,
-    fused_retired: u64,
-    x86_mode_retired: u64,
     // Precomputed per-event charge quanta. Every fractional cost is
     // rounded to the fixed-point grid exactly once here; the hot paths
     // below only ever do integer adds of these constants, which is what
@@ -151,8 +149,6 @@ impl Timing {
             fused_tail_pending: false,
             decoder_active: Cycles::ZERO,
             uops_retired: 0,
-            fused_retired: 0,
-            x86_mode_retired: 0,
             slot_long: {
                 let slot = [
                     Cycles::from_f64(1.0 / ew),
@@ -239,16 +235,6 @@ impl Timing {
     /// Micro-ops retired from translated code.
     pub fn uops_retired(&self) -> u64 {
         self.uops_retired
-    }
-
-    /// Micro-ops retired as part of fused macro-op pairs.
-    pub fn fused_retired(&self) -> u64 {
-        self.fused_retired
-    }
-
-    /// x86 instructions retired in x86-mode.
-    pub fn x86_mode_retired(&self) -> u64 {
-        self.x86_mode_retired
     }
 
     #[inline]
@@ -398,7 +384,6 @@ impl Timing {
         let pending = self.fused_tail_pending;
         let fusible = r.uop.fusible;
         let half = !profiling & (pending | fusible);
-        self.fused_retired += u64::from(half);
         self.fused_tail_pending = (profiling & pending) | (!profiling & !pending & fusible);
         // One pre-summed table load covers the slot cost and the
         // partially-hidden long-latency extra (div/mul chains, XLT).
@@ -429,7 +414,6 @@ impl Timing {
     /// occupies dispatch slots in a conventional x86 core.
     #[inline]
     pub fn retire_x86(&mut self, r: &Retired, uop_count: u32) {
-        self.x86_mode_retired += 1;
         let before = self.cycles;
         let slots = uop_count.max(1) as usize;
         let mut acc = match self.x86_slot_cost.get(slots) {

@@ -141,6 +141,22 @@ pub struct Retired {
     pub halted: bool,
 }
 
+impl Retired {
+    /// A record for [`exec_into`] to overwrite; it describes no real
+    /// retirement.
+    fn blank() -> Self {
+        Retired {
+            pc: 0,
+            len: 1,
+            inst: Inst::new(Mnemonic::Nop, Width::W32, 1),
+            next_pc: 1,
+            branch: None,
+            mem: MemList::default(),
+            halted: false,
+        }
+    }
+}
+
 /// Architectural faults the subset can raise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
@@ -175,23 +191,17 @@ impl std::fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
-/// The interpreter: a [`Decoder`] plus retirement statistics.
+/// The interpreter: a [`Decoder`] in front of [`exec`].
 #[derive(Debug, Default)]
 pub struct Interp {
     /// Decoded-instruction cache.
     pub decoder: Decoder,
-    retired: u64,
 }
 
 impl Interp {
     /// Creates an interpreter with an empty decode cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total instructions retired through this interpreter.
-    pub fn retired(&self) -> u64 {
-        self.retired
     }
 
     /// Decodes and executes one instruction at `cpu.eip`.
@@ -206,9 +216,7 @@ impl Interp {
             .decoder
             .decode_at(mem, pc)
             .map_err(|err| Fault::Decode { pc, err })?;
-        let r = exec(cpu, mem, &inst, pc)?;
-        self.retired += 1;
-        Ok(r)
+        exec(cpu, mem, inst, pc)
     }
 
     /// Decodes and executes instructions back-to-back until the retire
@@ -241,7 +249,11 @@ impl Interp {
         mem: &mut impl Memory,
         retire: &mut impl FnMut(&Retired, &mut u32) -> bool,
     ) -> Result<(), Fault> {
-        while self.step_inline(cpu, mem, retire)? {}
+        // One record for the whole batch, rewritten in place by every
+        // retirement: the closure reads the memory accesses where `exec`
+        // wrote them, with no per-instruction copy.
+        let mut r = Retired::blank();
+        while self.step_inline(cpu, mem, &mut r, retire)? {}
         Ok(())
     }
 
@@ -253,6 +265,7 @@ impl Interp {
         &mut self,
         cpu: &mut Cpu,
         mem: &mut impl Memory,
+        r: &mut Retired,
         retire: &mut impl FnMut(&Retired, &mut u32) -> bool,
     ) -> Result<bool, Fault> {
         let pc = cpu.eip;
@@ -260,9 +273,8 @@ impl Interp {
             .decoder
             .decode_at_indexed(mem, pc)
             .map_err(|err| Fault::Decode { pc, err })?;
-        let r = exec(cpu, mem, &inst, pc)?;
-        self.retired += 1;
-        Ok(retire(&r, self.decoder.uop_memo(idx)))
+        exec_into(cpu, mem, inst, pc, r)?;
+        Ok(retire(r, self.decoder.uop_memo(idx)))
     }
 }
 
@@ -361,15 +373,35 @@ pub fn cpuid_values(leaf: u32) -> [u32; 4] {
 ///
 /// Returns a [`Fault`] on divide error or breakpoint; architectural state
 /// is unchanged in that case.
-#[inline(always)]
 pub fn exec(
     cpu: &mut Cpu,
     mem: &mut impl Memory,
-    inst: &Inst,
+    inst: Inst,
     pc: u32,
 ) -> Result<Retired, Fault> {
+    let mut r = Retired::blank();
+    exec_into(cpu, mem, inst, pc, &mut r)?;
+    Ok(r)
+}
+
+/// [`exec`] writing its [`Retired`] record into `out`, which holds
+/// whatever the previous retirement left there (every field is
+/// rewritten; on a fault `out` is unspecified).
+///
+/// `inst` is taken by value, so its typed operands stay in registers
+/// for the whole dispatch, and the memory accesses are recorded straight
+/// into `out` instead of a local list that is copied out afterwards.
+#[inline(always)]
+fn exec_into(
+    cpu: &mut Cpu,
+    mem: &mut impl Memory,
+    inst: Inst,
+    pc: u32,
+    out: &mut Retired,
+) -> Result<(), Fault> {
     let w = inst.width;
-    let mut acc = MemList::default();
+    let acc = &mut out.mem;
+    acc.len = 0;
     let fall = pc.wrapping_add(inst.len as u32);
     let mut next = fall;
     let mut branch = None;
@@ -397,15 +429,15 @@ pub fn exec(
 
     match inst.mnemonic {
         Mnemonic::Mov { dst, src } => {
-            let v = read_operand(cpu, mem, src, w, &mut acc);
-            write_rm(cpu, mem, dst, w, v, &mut acc);
+            let v = read_operand(cpu, mem, src, w, acc);
+            write_rm(cpu, mem, dst, w, v, acc);
         }
         Mnemonic::Movzx { from, dst, src } => {
-            let v = read_rm(cpu, mem, src, from, &mut acc);
+            let v = read_rm(cpu, mem, src, from, acc);
             cpu.write(dst, w, v);
         }
         Mnemonic::Movsx { from, dst, src } => {
-            let v = read_rm(cpu, mem, src, from, &mut acc);
+            let v = read_rm(cpu, mem, src, from, acc);
             cpu.write(dst, w, from.sext(v));
         }
         Mnemonic::Lea { dst, addr } => {
@@ -413,53 +445,53 @@ pub fn exec(
             cpu.write(dst, w, a);
         }
         Mnemonic::Xchg { dst, src } => {
-            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            let a = read_rm(cpu, mem, dst, w, acc);
             let b = cpu.read(src, w);
-            write_rm(cpu, mem, dst, w, b, &mut acc);
+            write_rm(cpu, mem, dst, w, b, acc);
             cpu.write(src, w, a);
         }
         Mnemonic::Push { src } => {
-            let v = read_operand(cpu, mem, src, Width::W32, &mut acc);
-            push32(cpu, mem, v, &mut acc);
+            let v = read_operand(cpu, mem, src, Width::W32, acc);
+            push32(cpu, mem, v, acc);
         }
         Mnemonic::Pop { dst } => {
-            let v = pop32(cpu, mem, &mut acc);
-            write_rm(cpu, mem, dst, Width::W32, v, &mut acc);
+            let v = pop32(cpu, mem, acc);
+            write_rm(cpu, mem, dst, Width::W32, v, acc);
         }
         Mnemonic::Alu { op, dst, src } => {
-            let a = read_rm(cpu, mem, dst, w, &mut acc);
-            let b = read_operand(cpu, mem, src, w, &mut acc);
+            let a = read_rm(cpu, mem, dst, w, acc);
+            let b = read_operand(cpu, mem, src, w, acc);
             let (r, s) = alu::alu(op, w, a, b, cpu.flags.cf());
             if !op.discards_result() {
-                write_rm(cpu, mem, dst, w, r, &mut acc);
+                write_rm(cpu, mem, dst, w, r, acc);
             }
             cpu.flags.set_status(s);
         }
         Mnemonic::Inc { dst } => {
-            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            let a = read_rm(cpu, mem, dst, w, acc);
             let (r, s) = alu::inc(w, a);
-            write_rm(cpu, mem, dst, w, r, &mut acc);
+            write_rm(cpu, mem, dst, w, r, acc);
             cpu.flags.set_status_keep_cf(s);
         }
         Mnemonic::Dec { dst } => {
-            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            let a = read_rm(cpu, mem, dst, w, acc);
             let (r, s) = alu::dec(w, a);
-            write_rm(cpu, mem, dst, w, r, &mut acc);
+            write_rm(cpu, mem, dst, w, r, acc);
             cpu.flags.set_status_keep_cf(s);
         }
         Mnemonic::Neg { dst } => {
-            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            let a = read_rm(cpu, mem, dst, w, acc);
             let (r, s) = alu::neg(w, a);
-            write_rm(cpu, mem, dst, w, r, &mut acc);
+            write_rm(cpu, mem, dst, w, r, acc);
             cpu.flags.set_status(s);
         }
         Mnemonic::Not { dst } => {
-            let a = read_rm(cpu, mem, dst, w, &mut acc);
-            write_rm(cpu, mem, dst, w, !a & w.mask(), &mut acc);
+            let a = read_rm(cpu, mem, dst, w, acc);
+            write_rm(cpu, mem, dst, w, !a & w.mask(), acc);
         }
         Mnemonic::Mul { src } | Mnemonic::ImulWide { src } => {
             let a = cpu.read(Gpr::Eax, w);
-            let b = read_rm(cpu, mem, src, w, &mut acc);
+            let b = read_rm(cpu, mem, src, w, acc);
             let (lo, hi, s) = if matches!(inst.mnemonic, Mnemonic::Mul { .. }) {
                 alu::mul(w, a, b)
             } else {
@@ -476,19 +508,19 @@ pub fn exec(
         }
         Mnemonic::Imul { dst, src } => {
             let a = cpu.read(dst, w);
-            let b = read_rm(cpu, mem, src, w, &mut acc);
+            let b = read_rm(cpu, mem, src, w, acc);
             let (r, s) = alu::imul_trunc(w, a, b);
             cpu.write(dst, w, r);
             cpu.flags.set_status(s);
         }
         Mnemonic::ImulImm { dst, src, imm } => {
-            let a = read_rm(cpu, mem, src, w, &mut acc);
+            let a = read_rm(cpu, mem, src, w, acc);
             let (r, s) = alu::imul_trunc(w, a, (imm as u32) & w.mask());
             cpu.write(dst, w, r);
             cpu.flags.set_status(s);
         }
         Mnemonic::Div { src } | Mnemonic::Idiv { src } => {
-            let divisor = read_rm(cpu, mem, src, w, &mut acc);
+            let divisor = read_rm(cpu, mem, src, w, acc);
             let (lo, hi) = match w {
                 Width::W8 => {
                     let ax = cpu.read(Gpr::Eax, Width::W16);
@@ -517,9 +549,9 @@ pub fn exec(
                 ShiftCount::Imm(c) => u32::from(c),
                 ShiftCount::Cl => cpu.read(Gpr::Ecx, Width::W8),
             };
-            let a = read_rm(cpu, mem, dst, w, &mut acc);
+            let a = read_rm(cpu, mem, dst, w, acc);
             if let Some((r, f)) = alu::shift(op, w, a, count, cpu.flags) {
-                write_rm(cpu, mem, dst, w, r, &mut acc);
+                write_rm(cpu, mem, dst, w, r, acc);
                 cpu.flags = f;
             }
         }
@@ -531,22 +563,22 @@ pub fn exec(
             branch = jump(BranchKind::Unconditional, next);
         }
         Mnemonic::JmpInd { target } => {
-            next = read_rm(cpu, mem, target, Width::W32, &mut acc);
+            next = read_rm(cpu, mem, target, Width::W32, acc);
             branch = jump(BranchKind::Indirect, next);
         }
         Mnemonic::Call { target } => {
-            push32(cpu, mem, fall, &mut acc);
+            push32(cpu, mem, fall, acc);
             next = target;
             branch = jump(BranchKind::Call, next);
         }
         Mnemonic::CallInd { target } => {
-            let target = read_rm(cpu, mem, target, Width::W32, &mut acc);
-            push32(cpu, mem, fall, &mut acc);
+            let target = read_rm(cpu, mem, target, Width::W32, acc);
+            push32(cpu, mem, fall, acc);
             next = target;
             branch = jump(BranchKind::Indirect, next);
         }
         Mnemonic::Ret { pop } => {
-            next = pop32(cpu, mem, &mut acc);
+            next = pop32(cpu, mem, acc);
             cpu.gpr[Gpr::Esp as usize] = cpu.gpr[Gpr::Esp as usize].wrapping_add(u32::from(pop));
             branch = jump(BranchKind::Return, next);
         }
@@ -560,10 +592,10 @@ pub fn exec(
         }
         Mnemonic::Setcc { cond, dst } => {
             let v = cond.eval(cpu.flags) as u32;
-            write_rm(cpu, mem, dst, Width::W8, v, &mut acc);
+            write_rm(cpu, mem, dst, Width::W8, v, acc);
         }
         Mnemonic::Cmovcc { cond, dst, src } => {
-            let v = read_rm(cpu, mem, src, w, &mut acc);
+            let v = read_rm(cpu, mem, src, w, acc);
             if cond.eval(cpu.flags) {
                 cpu.write(dst, w, v);
             }
@@ -595,7 +627,7 @@ pub fn exec(
         Mnemonic::Cld => cpu.flags.set(Flags::DF, false),
         Mnemonic::Std => cpu.flags.set(Flags::DF, true),
         Mnemonic::Str { op, rep } => {
-            if exec_string(cpu, mem, op, rep, w, &mut acc) {
+            if exec_string(cpu, mem, op, rep, w, acc) {
                 next = pc; // microcode loops back to the same instruction
             }
         }
@@ -616,7 +648,7 @@ pub fn exec(
                 } else {
                     cpu.gpr[r as usize]
                 };
-                push32(cpu, mem, v, &mut acc);
+                push32(cpu, mem, v, acc);
             }
         }
         Mnemonic::Popa => {
@@ -630,21 +662,21 @@ pub fn exec(
                 Gpr::Ecx,
                 Gpr::Eax,
             ] {
-                let v = pop32(cpu, mem, &mut acc);
+                let v = pop32(cpu, mem, acc);
                 if r != Gpr::Esp {
                     cpu.gpr[r as usize] = v;
                 }
             }
         }
         Mnemonic::Enter { frame, .. } => {
-            push32(cpu, mem, cpu.gpr[Gpr::Ebp as usize], &mut acc);
+            push32(cpu, mem, cpu.gpr[Gpr::Ebp as usize], acc);
             cpu.gpr[Gpr::Ebp as usize] = cpu.gpr[Gpr::Esp as usize];
             cpu.gpr[Gpr::Esp as usize] =
                 cpu.gpr[Gpr::Esp as usize].wrapping_sub(u32::from(frame));
         }
         Mnemonic::Leave => {
             cpu.gpr[Gpr::Esp as usize] = cpu.gpr[Gpr::Ebp as usize];
-            let v = pop32(cpu, mem, &mut acc);
+            let v = pop32(cpu, mem, acc);
             cpu.gpr[Gpr::Ebp as usize] = v;
         }
         Mnemonic::Nop => {}
@@ -663,15 +695,13 @@ pub fn exec(
     }
 
     cpu.eip = next;
-    Ok(Retired {
-        pc,
-        len: inst.len,
-        inst: *inst,
-        next_pc: next,
-        branch,
-        mem: acc,
-        halted,
-    })
+    out.pc = pc;
+    out.len = inst.len;
+    out.inst = inst;
+    out.next_pc = next;
+    out.branch = branch;
+    out.halted = halted;
+    Ok(())
 }
 
 /// Executes one iteration of a string instruction. Returns true while a

@@ -10,7 +10,9 @@
 //! a batch boundary: a REP string instruction straddling the slice goal,
 //! resource watchdogs armed to fire mid-batch, hot detection triggering
 //! on the final instruction of a batch, and an SMC store invalidating
-//! the decode region the batch is executing from.
+//! the decode region the batch is executing from. On the translating
+//! machines the same slicing stops and resumes the native executor in
+//! the middle of BBT and SBT runs.
 
 #![allow(clippy::unwrap_used, clippy::panic)]
 
@@ -154,7 +156,7 @@ fn hot_loop_program() -> (GuestMem, u32) {
 #[test]
 fn rep_straddling_slice_goal_is_invisible() {
     let (mem, entry) = rep_heavy_program();
-    for kind in [MachineKind::VmInterp, MachineKind::RefSuperscalar] {
+    for kind in MachineKind::ALL {
         let cfg = MachineConfig::preset(kind);
         let mut batched = fresh(&cfg, &mem, entry);
         assert_eq!(batched.run_to_completion(u64::MAX), Status::Halted, "{kind}");
@@ -227,36 +229,53 @@ fn translation_watchdog_mid_batch_matches_single_stepping() {
 #[test]
 fn hot_detection_on_final_batch_instruction() {
     let (mem, entry) = hot_loop_program();
-    let mut cfg = MachineConfig::preset(MachineKind::VmInterp);
-    cfg.interp_hot_threshold = 20;
-    let mut batched = fresh(&cfg, &mem, entry);
-    assert_eq!(batched.run_to_completion(u64::MAX), Status::Halted);
-    assert!(
-        batched.vm.as_ref().unwrap().stats.sbt_superblocks > 0,
-        "the loop must get promoted"
-    );
-    let reference = digest("reference", &mut batched);
+    for kind in [
+        MachineKind::VmInterp,
+        MachineKind::VmSoft,
+        MachineKind::VmBe,
+        MachineKind::VmFe,
+    ] {
+        let mut cfg = MachineConfig::preset(kind);
+        cfg.interp_hot_threshold = 20;
+        cfg.hot_threshold = 20;
+        let mut batched = fresh(&cfg, &mem, entry);
+        assert_eq!(batched.run_to_completion(u64::MAX), Status::Halted, "{kind}");
+        let vm = batched.vm.as_ref().unwrap();
+        assert!(vm.stats.sbt_superblocks > 0, "{kind}: the loop must get promoted");
+        assert!(batched.stats.sbt_retired > 0, "{kind}: no SBT retirements");
+        if matches!(kind, MachineKind::VmSoft | MachineKind::VmBe) {
+            assert!(batched.stats.bbt_retired > 0, "{kind}: no BBT retirements");
+        }
+        let reference = digest("reference", &mut batched);
 
-    // Sweeping the slice length walks the batch boundary across every
-    // alignment of the loop body, so for several of these the taken
-    // branch that fires hot detection is exactly the final instruction
-    // of a batch (the goal trips on the same retirement), and for others
-    // the boundary splits the detect -> translate -> enter sequence.
-    for step in 1..=23u64 {
-        let mut sliced = fresh(&cfg, &mem, entry);
-        assert_eq!(run_sliced(&mut sliced, step), Status::Halted, "slice={step}");
-        let got = digest("sliced", &mut sliced);
-        let diffs: Vec<String> = reference
-            .iter()
-            .zip(got.iter())
-            .filter(|((k, v), (k2, v2))| k == k2 && v != v2)
-            .map(|((k, v), (_, v2))| format!("{k}: whole={v} slice{step}={v2}"))
-            .collect();
-        assert!(
-            diffs.is_empty(),
-            "slice length {step} diverged from the uninterrupted run:\n{}",
-            diffs.join("\n")
-        );
+        // Sweeping the slice length walks the batch boundary across every
+        // alignment of the loop body, so for several of these the taken
+        // branch that fires hot detection is exactly the final instruction
+        // of a batch (the goal trips on the same retirement), and for
+        // others the boundary splits the detect -> translate -> enter
+        // sequence. On the translating machines the goal also stops the
+        // native executor inside BBT and SBT runs, and the next slice
+        // resumes it there.
+        for step in 1..=23u64 {
+            let mut sliced = fresh(&cfg, &mem, entry);
+            assert_eq!(
+                run_sliced(&mut sliced, step),
+                Status::Halted,
+                "{kind}: slice={step}"
+            );
+            let got = digest("sliced", &mut sliced);
+            let diffs: Vec<String> = reference
+                .iter()
+                .zip(got.iter())
+                .filter(|((k, v), (k2, v2))| k == k2 && v != v2)
+                .map(|((k, v), (_, v2))| format!("{k}: whole={v} slice{step}={v2}"))
+                .collect();
+            assert!(
+                diffs.is_empty(),
+                "{kind}: slice length {step} diverged from the uninterrupted run:\n{}",
+                diffs.join("\n")
+            );
+        }
     }
 }
 
